@@ -1,108 +1,99 @@
-// Ablation C: SAT-solver feature contributions on A-QED BMC workloads,
-// via google-benchmark. Each feature of the CDCL solver (VSIDS, phase
-// saving, clause minimization, restarts, clause-database reduction) and the
-// optional BVE preprocessing are toggled on a fixed workload: the clean FIFO
-// configuration checked to bound 7 (an UNSAT-refutation-dominated load) and
-// the lb_stale_accum bug hunt (a SAT-finding load).
-#include <benchmark/benchmark.h>
+// Ablation C: SAT-solver feature contributions on A-QED BMC workloads. Each
+// feature of the CDCL solver (VSIDS, phase saving, clause minimization,
+// restarts, clause-database reduction) is toggled on two fixed loads: the
+// clean FIFO configuration checked to bound 7 (an UNSAT-refutation-dominated
+// load) and the lb_stale_accum bug hunt (a SAT-finding load). Each variant
+// runs once per load and reports process CPU time and solver conflicts; the
+// conflict counts are deterministic, the times are single-shot.
+//
+// Exits 1 if any variant reports a spurious counterexample on the clean
+// load or misses the bug on the hunt.
+#include <cstdio>
 
 #include "bench_common.h"
+#include "telemetry/resource.h"
 
 using namespace aqed;
 
 namespace {
 
-enum Variant {
-  kBaseline,
-  kNoVsids,
-  kNoPhaseSaving,
-  kNoMinimization,
-  kNoRestarts,
-  kNoReduceDb,
-  kWithPreprocessing,
+struct Variant {
+  const char* name;
+  void (*apply)(sat::Solver::Options&);
 };
 
-const char* VariantName(int variant) {
-  switch (variant) {
-    case kBaseline: return "baseline";
-    case kNoVsids: return "no_vsids";
-    case kNoPhaseSaving: return "no_phase_saving";
-    case kNoMinimization: return "no_minimization";
-    case kNoRestarts: return "no_restarts";
-    case kNoReduceDb: return "no_reduce_db";
-    case kWithPreprocessing: return "with_bve_preprocessing";
-  }
-  return "?";
-}
+constexpr Variant kVariants[] = {
+    {"baseline", [](sat::Solver::Options&) {}},
+    {"no_vsids", [](sat::Solver::Options& o) { o.use_vsids = false; }},
+    {"no_phase_saving",
+     [](sat::Solver::Options& o) { o.use_phase_saving = false; }},
+    {"no_minimization",
+     [](sat::Solver::Options& o) { o.use_minimization = false; }},
+    {"no_restarts", [](sat::Solver::Options& o) { o.use_restarts = false; }},
+    {"no_reduce_db", [](sat::Solver::Options& o) { o.use_reduce_db = false; }},
+};
 
-core::AqedOptions VariantOptions(int variant, uint32_t fc_bound) {
+core::AqedOptions VariantOptions(const Variant& variant,
+                                 accel::MemCtrlConfig config,
+                                 uint32_t fc_bound) {
   core::AqedOptions options;
   core::RbOptions rb;
-  rb.tau = accel::MemCtrlResponseBound(accel::MemCtrlConfig::kFifo);
+  rb.tau = accel::MemCtrlResponseBound(config);
   options.rb = rb;
   options.fc_bound = fc_bound;
   options.rb_bound = fc_bound;
-  auto& solver = options.bmc.solver_options;
-  switch (variant) {
-    case kNoVsids: solver.use_vsids = false; break;
-    case kNoPhaseSaving: solver.use_phase_saving = false; break;
-    case kNoMinimization: solver.use_minimization = false; break;
-    case kNoRestarts: solver.use_restarts = false; break;
-    case kNoReduceDb: solver.use_reduce_db = false; break;
-    case kWithPreprocessing: options.bmc.use_preprocessing = true; break;
-    default: break;
-  }
+  variant.apply(options.bmc.solver_options);
   return options;
 }
 
-// UNSAT-dominated load: the clean FIFO refuted up to bound 7.
-void BM_CleanFifoRefutation(benchmark::State& state) {
-  const int variant = static_cast<int>(state.range(0));
-  uint64_t conflicts = 0;
-  for (auto _ : state) {
-    const auto result = core::CheckAccelerator(
-        [](ir::TransitionSystem& ts) {
-          return accel::BuildMemCtrl(ts, accel::MemCtrlConfig::kFifo).acc;
-        },
-        VariantOptions(variant, 7));
-    if (result.bug_found()) state.SkipWithError("spurious counterexample");
-    conflicts = result.conflicts();
-  }
-  state.SetLabel(VariantName(variant));
-  state.counters["conflicts"] = static_cast<double>(conflicts);
-}
+struct Load {
+  const char* name;
+  accel::MemCtrlConfig config;
+  accel::MemCtrlBug bug;
+  uint32_t fc_bound;
+  bool expect_bug;
+};
 
-// SAT-finding load: hunting the lb_stale_accum bug.
-void BM_StaleAccumHunt(benchmark::State& state) {
-  const int variant = static_cast<int>(state.range(0));
-  uint64_t cex = 0;
-  for (auto _ : state) {
-    auto options = VariantOptions(variant, 12);
-    options.rb->tau =
-        accel::MemCtrlResponseBound(accel::MemCtrlConfig::kLineBuffer);
-    const auto result = core::CheckAccelerator(
-        [](ir::TransitionSystem& ts) {
-          return accel::BuildMemCtrl(ts, accel::MemCtrlConfig::kLineBuffer,
-                                     accel::MemCtrlBug::kLbStaleAccum)
-              .acc;
-        },
-        options);
-    if (!result.bug_found()) state.SkipWithError("bug not found");
-    cex = result.cex_cycles();
-  }
-  state.SetLabel(VariantName(variant));
-  state.counters["cex_cycles"] = static_cast<double>(cex);
-}
+constexpr Load kLoads[] = {
+    // UNSAT-dominated load: the clean FIFO refuted up to bound 7.
+    {"clean_fifo_refutation", accel::MemCtrlConfig::kFifo,
+     accel::MemCtrlBug::kNone, 7, false},
+    // SAT-finding load: hunting the lb_stale_accum bug.
+    {"stale_accum_hunt", accel::MemCtrlConfig::kLineBuffer,
+     accel::MemCtrlBug::kLbStaleAccum, 12, true},
+};
 
 }  // namespace
 
-BENCHMARK(BM_CleanFifoRefutation)
-    ->DenseRange(kBaseline, kWithPreprocessing)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK(BM_StaleAccumHunt)
-    ->DenseRange(kBaseline, kWithPreprocessing)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const bench::FlagParser flags(argc, argv);
+  flags.RejectUnknown(argv[0]);
+  printf("Ablation C: SAT-solver features on memory-controller BMC loads\n");
+  bench::PrintRule('=');
+  bool failed = false;
+  for (const Load& load : kLoads) {
+    printf("\n%s (bound %u):\n", load.name, load.fc_bound);
+    printf("  %-18s %-10s %-12s %s\n", "variant", "cpu[ms]", "conflicts",
+           "verdict");
+    for (const Variant& variant : kVariants) {
+      const double cpu_before = telemetry::SampleResourceUsage().cpu_seconds();
+      const auto result = core::CheckAccelerator(
+          [&](ir::TransitionSystem& ts) {
+            return accel::BuildMemCtrl(ts, load.config, load.bug).acc;
+          },
+          VariantOptions(variant, load.config, load.fc_bound));
+      const double cpu_ms =
+          (telemetry::SampleResourceUsage().cpu_seconds() - cpu_before) * 1e3;
+      const bool wrong = result.bug_found() != load.expect_bug;
+      failed |= wrong;
+      const char* note = !wrong           ? ""
+                         : load.expect_bug ? "  <- MISSED BUG"
+                                           : "  <- SPURIOUS COUNTEREXAMPLE";
+      printf("  %-18s %-10.0f %-12llu %s%s\n", variant.name, cpu_ms,
+             static_cast<unsigned long long>(result.conflicts()),
+             result.bug_found() ? "bug" : "clean", note);
+    }
+  }
+  bench::PrintRule();
+  return failed ? 1 : 0;
+}

@@ -17,7 +17,7 @@
 // over-approximation of the upstream pipeline), and all clean stages are
 // isomorphic, so dedup + the solve cache reduce an S-stage clean check to
 // ONE one-stage solve. This is the paper's decomposition win in its purest
-// form, and the subject of the bench_decomp scenario.
+// form, and the subject of decomp_test's acceptance gate.
 //
 // The injected bug (`bug_stage` >= 0) is deliberately timing-dependent —
 // the kind FC catches and per-transaction spec checks miss: stage k latches

@@ -135,11 +135,6 @@ AqedOptions::Builder& AqedOptions::Builder::WithCubes(
   return *this;
 }
 
-AqedOptions::Builder& AqedOptions::Builder::WithPreprocessing(bool enabled) {
-  options_.bmc.use_preprocessing = enabled;
-  return *this;
-}
-
 AqedOptions::Builder& AqedOptions::Builder::WithValidation(
     bool replay_counterexamples) {
   options_.bmc.validate_counterexamples = replay_counterexamples;

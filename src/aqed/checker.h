@@ -100,7 +100,6 @@ class AqedOptions::Builder {
   // parallelism; see bmc::BmcOptions::CubeEscalation). enabled is set for
   // the caller.
   Builder& WithCubes(bmc::BmcOptions::CubeEscalation cube);
-  Builder& WithPreprocessing(bool enabled);
   Builder& WithValidation(bool replay_counterexamples);
   Builder& WithSolverOptions(sat::Solver::Options solver_options);
 

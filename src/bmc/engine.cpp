@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "sat/cube.h"
-#include "sat/preprocessor.h"
 #include "sched/memory_governor.h"
 #include "sched/thread_pool.h"
 #include "support/stats.h"
@@ -26,37 +25,6 @@ struct DepthQuery {
   bool cube_escalated = false;
   uint64_t cubes_solved = 0;
 };
-
-// Solves "target holds at this depth" on a preprocessed copy of the current
-// formula; the model (if any) is extended back over eliminated variables.
-DepthQuery SolvePreprocessed(const sat::Solver& main_solver, sat::Lit target,
-                             const BmcOptions& options) {
-  DepthQuery query;
-  sat::Cnf cnf;
-  main_solver.ExportClauses(cnf);
-  const std::vector<sat::Var> frozen = {target.var()};
-  const sat::PreprocessResult pre = sat::Preprocess(cnf, frozen);
-  if (pre.unsat) {
-    query.result = sat::SolveResult::kUnsat;
-    return query;
-  }
-  sat::Solver scratch(options.solver_options);
-  if (!sat::LoadCnf(pre.cnf, scratch)) {
-    query.result = sat::SolveResult::kUnsat;
-    return query;
-  }
-  const sat::Lit assumptions[] = {target};
-  query.result = scratch.Solve(
-      assumptions, sat::SolveLimits{.max_conflicts = options.conflict_budget});
-  query.conflicts = scratch.stats().conflicts;
-  query.decisions = scratch.stats().decisions;
-  if (query.result == sat::SolveResult::kSat) {
-    query.model = scratch.model();
-    query.model.resize(cnf.num_vars, sat::LBool::kUndef);
-    sat::ExtendModel(pre, query.model);
-  }
-  return query;
-}
 
 // Solves directly on the incremental main solver under the given conflict
 // limit (negative: unlimited).
@@ -284,13 +252,8 @@ BmcResult RunBmc(const ir::TransitionSystem& ts, const BmcOptions& options_in) {
     if (solver.inconsistent()) break;       // constraints are contradictory
 
     telemetry::Span solve_span("bmc.solve_depth", {{"depth", depth}});
-    // Cube escalation rides the incremental path only: the preprocessed
-    // path already rebuilds a scratch solver per depth and has no VSIDS
-    // history for the splitter to read.
     const DepthQuery query =
-        options.use_preprocessing
-            ? SolvePreprocessed(solver, any_bad, options)
-            : SolveWithEscalation(solver, any_bad, options, depth);
+        SolveWithEscalation(solver, any_bad, options, depth);
     solve_span.End();
     result.conflicts += query.conflicts;
     result.decisions += query.decisions;

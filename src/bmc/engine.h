@@ -29,11 +29,6 @@ struct BmcOptions {
   std::vector<uint32_t> bad_filter;
   // Per-depth SAT conflict budget; kUnknown on exhaustion. -1 = unlimited.
   int64_t conflict_budget = -1;
-  // Run bounded variable elimination on the per-depth CNF before solving
-  // (off by default: without subsumption alongside, BVE trades variables
-  // for longer resolvents and loses the incremental solver's learnt
-  // clauses; see bench_ablation_sat for the measured effect).
-  bool use_preprocessing = false;
   // Cooperative cancellation (first-bug-wins sessions): checked at every
   // depth and forwarded into the SAT solver's search loop. This is the ONE
   // cancellation token of a BMC run, threaded top-down into every solver it

@@ -1,5 +1,6 @@
 #include "sat/dimacs.h"
 
+#include <charconv>
 #include <istream>
 #include <sstream>
 
@@ -7,21 +8,43 @@
 
 namespace aqed::sat {
 
+namespace {
+
+// Largest variable count whose literals all encode (2*var + sign) as a
+// uint32_t index distinct from kLitUndef's all-ones index.
+constexpr int64_t kMaxVars = (int64_t{1} << 31) - 1;
+
+// Parses a whole token as a signed decimal integer.
+bool ParseInt(const std::string& token, int64_t& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 StatusOr<Cnf> ParseDimacs(std::istream& in) {
   Cnf cnf;
   bool header_seen = false;
   uint64_t expected_clauses = 0;
   std::string line;
+  std::string token;
   std::vector<Lit> current;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == 'c') continue;
     if (line[0] == 'p') {
       std::istringstream header(line);
-      std::string p, fmt;
+      std::string p, fmt, vars_token, clauses_token;
       int64_t vars = 0, clauses = 0;
-      header >> p >> fmt >> vars >> clauses;
-      if (fmt != "cnf" || vars < 0 || clauses < 0) {
+      header >> p >> fmt >> vars_token >> clauses_token;
+      if (fmt != "cnf" || !ParseInt(vars_token, vars) ||
+          !ParseInt(clauses_token, clauses) || vars < 0 || clauses < 0 ||
+          header >> token) {
         return Status::Error("malformed DIMACS header: " + line);
+      }
+      if (vars > kMaxVars) {
+        return Status::Error("DIMACS variable count exceeds " +
+                             std::to_string(kMaxVars) + ": " + line);
       }
       cnf.num_vars = static_cast<uint32_t>(vars);
       expected_clauses = static_cast<uint64_t>(clauses);
@@ -30,18 +53,22 @@ StatusOr<Cnf> ParseDimacs(std::istream& in) {
     }
     if (!header_seen) return Status::Error("clause before DIMACS header");
     std::istringstream body(line);
-    int64_t dimacs_lit = 0;
-    while (body >> dimacs_lit) {
+    while (body >> token) {
+      int64_t dimacs_lit = 0;
+      if (!ParseInt(token, dimacs_lit)) {
+        return Status::Error("malformed DIMACS literal: " + token);
+      }
       if (dimacs_lit == 0) {
         cnf.clauses.push_back(current);
         current.clear();
         continue;
       }
-      const uint64_t var = static_cast<uint64_t>(
-          dimacs_lit > 0 ? dimacs_lit : -dimacs_lit) - 1;
-      if (var >= cnf.num_vars) {
+      // Range-check before negating: -INT64_MIN would overflow.
+      if (dimacs_lit > int64_t{cnf.num_vars} ||
+          dimacs_lit < -int64_t{cnf.num_vars}) {
         return Status::Error("literal exceeds declared variable count");
       }
+      const int64_t var = (dimacs_lit > 0 ? dimacs_lit : -dimacs_lit) - 1;
       current.emplace_back(static_cast<Var>(var), dimacs_lit < 0);
     }
   }

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <unordered_map>
 
-#include "sat/dimacs.h"
 #include "sched/memory_governor.h"
 #include "support/failpoint.h"
 #include "support/status.h"
@@ -129,19 +128,6 @@ void Solver::RemoveClause(CRef cref) {
   DetachClause(cref);
   if (Locked(cref)) reason_[ClauseLits(cref)[0].var()] = kCRefUndef;
   // Arena space is not reclaimed; BMC instances at our scale fit comfortably.
-}
-
-void Solver::ExportClauses(Cnf& out) const {
-  AQED_CHECK(DecisionLevel() == 0, "ExportClauses requires decision level 0");
-  out.num_vars = num_vars();
-  out.clauses.clear();
-  for (const Lit lit : trail_) {
-    out.clauses.push_back({lit});  // level-0 facts
-  }
-  for (const CRef cref : clauses_) {
-    const Lit* lits = ClauseLits(cref);
-    out.clauses.emplace_back(lits, lits + ClauseSize(cref));
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -122,10 +122,6 @@ class Solver {
   // formed the final conflict.
   const std::vector<Lit>& failed_assumptions() const { return conflict_; }
 
-  // Exports the current problem clauses (including level-0 unit facts) for
-  // external preprocessing. Learnt clauses are not included.
-  void ExportClauses(struct Cnf& out) const;
-
   const Statistics& stats() const { return stats_; }
   uint64_t num_clauses() const { return num_problem_clauses_; }
   uint64_t num_learnts() const { return learnts_.size(); }

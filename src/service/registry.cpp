@@ -119,7 +119,7 @@ std::vector<fault::DesignUnderTest> BuiltinDesigns(
     // monolithically tractable configuration — FC-only: the pipe has no
     // backpressure (RB is trivial) and its point is consistency across
     // transaction timing, which is exactly what FC checks. The bench-sized
-    // configuration is exercised by bench_decomp, not by campaigns.
+    // configuration is exercised by decomp_test, not by campaigns.
     const accel::WidePipeConfig widepipe{
         .lanes = 2, .stages = 2, .width = 4, .bug_stage = -1};
     designs.push_back({"widepipe",

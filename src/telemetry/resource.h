@@ -4,8 +4,7 @@
 // metrics registry so a session's time series carries the two axes the
 // A-QED scaling literature actually plots — solver effort and memory
 // footprint against wall time (BMC blow-up is a *resource* failure long
-// before it is a wrong answer). The probes are also what bench_driver
-// records per scenario for the BENCH_*.json perf trajectory.
+// before it is a wrong answer).
 //
 // Sources, cheapest sufficient first: getrusage(RUSAGE_SELF) for CPU time
 // and the peak-RSS fallback, /proc/self/status (VmRSS / VmHWM / Threads)

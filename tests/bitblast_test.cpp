@@ -63,6 +63,14 @@ struct BinOpCase {
   bool compare;  // 1-bit result
 };
 
+// gtest lists each case as "# GetParam() = <printed value>", and ctest takes
+// that listing into the test name. Without a printer gtest dumps the raw
+// bytes, padding and the name pointer included, so the name changed from one
+// listing to the next.
+void PrintTo(const BinOpCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class BinaryOpExhaustiveTest : public ::testing::TestWithParam<BinOpCase> {};
 
 // Exhaustive over both operands at width 3.

