@@ -6,6 +6,7 @@
 
 #include "ir/digest.h"
 #include "sched/session.h"
+#include "support/record.h"
 #include "support/stats.h"
 #include "telemetry/metrics.h"
 
@@ -13,40 +14,9 @@ namespace aqed::decomp {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t MixInt(uint64_t hash, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xFF;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-uint64_t MixText(uint64_t hash, const std::string& text) {
-  for (const char c : text) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= kFnvPrime;
-  }
-  return MixInt(hash, text.size());
-}
-
-fault::Classification Classify(core::BugKind kind) {
-  switch (kind) {
-    case core::BugKind::kFunctionalConsistency:
-    case core::BugKind::kEarlyOutput:
-      return fault::Classification::kDetectedFc;
-    case core::BugKind::kResponseBound:
-    case core::BugKind::kInputStarvation:
-      return fault::Classification::kDetectedRb;
-    case core::BugKind::kSingleActionCorrectness:
-      return fault::Classification::kDetectedSac;
-    case core::BugKind::kNone:
-      break;
-  }
-  return fault::Classification::kSurvived;
-}
+using support::kFnvOffset;
+using support::MixInt;
+using support::MixText;
 
 // The fragment's per-sub options: a bound override replaces the global BMC
 // bound and clears the per-property overrides (they were tuned against the
@@ -205,7 +175,7 @@ StatusOr<DecompositionResult> DecomposedSession::Run() {
     const core::JobHandle& handle = pending[i].handle;
     if (session_result.bug_found(handle)) {
       verdict.kind = session_result.kind(handle);
-      verdict.classification = Classify(verdict.kind);
+      verdict.classification = fault::ClassifyKind(verdict.kind);
       verdict.cex_cycles = session_result.cex_cycles(handle);
     } else if (session_result.unknown_reason(handle) != UnknownReason::kNone) {
       verdict.classification = fault::Classification::kUnknown;

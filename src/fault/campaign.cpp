@@ -8,39 +8,13 @@
 #include "fault/journal.h"
 #include "sched/session.h"
 #include "sched/thread_pool.h"
+#include "support/record.h"
 #include "support/status.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
 namespace aqed::fault {
 namespace {
-
-// FC before RB before SAC: when several properties detect the same mutant
-// (common — a corrupted datapath usually violates FC and SAC), the campaign
-// credits the strongest, most design-independent property first, matching
-// the paper's attribution in Table 1.
-Classification ClassifyKind(core::BugKind kind) {
-  switch (kind) {
-    case core::BugKind::kFunctionalConsistency:
-    case core::BugKind::kEarlyOutput:
-      return Classification::kDetectedFc;
-    case core::BugKind::kResponseBound:
-    case core::BugKind::kInputStarvation:
-      return Classification::kDetectedRb;
-    case core::BugKind::kSingleActionCorrectness:
-      return Classification::kDetectedSac;
-    case core::BugKind::kNone:
-      break;
-  }
-  return Classification::kSurvived;
-}
-
-void Fnv1a(uint64_t& hash, std::string_view text) {
-  for (const char c : text) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 1099511628211ull;
-  }
-}
 
 // Classifies one entry's jobs out of a session round into `report` (which
 // already carries design/key). FC < RB < SAC priority via ClassifyKind.
@@ -101,6 +75,22 @@ std::string ReplayKey(std::string_view design, const MutantKey& key) {
 }
 
 }  // namespace
+
+Classification ClassifyKind(core::BugKind kind) {
+  switch (kind) {
+    case core::BugKind::kFunctionalConsistency:
+    case core::BugKind::kEarlyOutput:
+      return Classification::kDetectedFc;
+    case core::BugKind::kResponseBound:
+    case core::BugKind::kInputStarvation:
+      return Classification::kDetectedRb;
+    case core::BugKind::kSingleActionCorrectness:
+      return Classification::kDetectedSac;
+    case core::BugKind::kNone:
+      break;
+  }
+  return Classification::kSurvived;
+}
 
 const char* ClassificationName(Classification classification) {
   switch (classification) {
@@ -330,13 +320,11 @@ uint64_t FaultCampaignResult::ClassificationDigest() const {
   // give identical digests regardless of report order.
   uint64_t digest = 0;
   for (const MutantReport& m : mutants) {
-    uint64_t hash = 1469598103934665603ull;
-    Fnv1a(hash, m.design);
-    Fnv1a(hash, "|");
-    Fnv1a(hash, m.key.ToString());
-    Fnv1a(hash, "|");
-    Fnv1a(hash, ClassificationName(m.classification));
-    digest += hash;
+    uint64_t hash = support::MixBytes(support::kFnvOffset, m.design);
+    hash = support::MixBytes(hash, "|");
+    hash = support::MixBytes(hash, m.key.ToString());
+    hash = support::MixBytes(hash, "|");
+    digest += support::MixBytes(hash, ClassificationName(m.classification));
   }
   return digest;
 }

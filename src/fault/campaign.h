@@ -72,6 +72,13 @@ enum class Classification : uint8_t {
 
 const char* ClassificationName(Classification classification);
 
+// The classification a detected bug of `kind` earns. FC before RB before SAC:
+// when several properties detect the same mutant (common — a corrupted
+// datapath usually violates FC and SAC), the campaign credits the strongest,
+// most design-independent property first, matching the paper's attribution
+// in Table 1. kNone maps to kSurvived.
+Classification ClassifyKind(core::BugKind kind);
+
 struct MutantReport {
   std::string design;
   MutantKey key;

@@ -1,11 +1,8 @@
 #include "fault/journal.h"
 
-#include <array>
-#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <initializer_list>
 #include <system_error>
 
 #include <unistd.h>
@@ -13,182 +10,81 @@
 #include "aqed/checker.h"
 #include "support/failpoint.h"
 #include "support/io.h"
+#include "support/record.h"
 #include "telemetry/json.h"
 
 namespace aqed::fault {
 
 namespace {
 
-// The fixed line skeleton: the CRC field leads, at a fixed offset, so the
-// payload bytes the CRC covers can be located without parsing JSON first.
-constexpr std::string_view kCrcPrefix = "{\"crc\":\"";   // then 8 hex chars
-constexpr std::string_view kDataInfix = "\",\"data\":";  // then the payload
-constexpr std::string_view kLineSuffix = "}";
-
-void AppendJsonString(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-// Reverse lookup over an enum's canonical Name() function: the journal
-// stores the human-readable names (grep-able, stable across enum reorders),
-// so decoding walks the value lists instead of trusting raw integers.
+// Reverse lookup over an enum's canonical name function, for enums whose
+// values run from 0 to `last`: the journal stores the human-readable names
+// (grep-able, stable across enum reorders), never the raw integers.
 template <typename E, typename Namer>
-std::optional<E> EnumFromName(std::string_view name,
-                              std::initializer_list<E> values, Namer namer) {
-  for (const E value : values) {
-    if (name == namer(value)) return value;
+std::optional<E> EnumFromName(std::string_view name, E last, Namer namer) {
+  for (int i = 0; i <= static_cast<int>(last); ++i) {
+    if (name == namer(static_cast<E>(i))) return static_cast<E>(i);
   }
   return std::nullopt;
 }
 
-constexpr std::initializer_list<MutationOp> kMutationOps = {
-    MutationOp::kStuckAtZero,  MutationOp::kStuckAtOne,
-    MutationOp::kOperatorSwap, MutationOp::kConstPerturb,
-    MutationOp::kCondNegate,   MutationOp::kOffByOne,
-};
-constexpr std::initializer_list<Classification> kClassifications = {
-    Classification::kDetectedFc,  Classification::kDetectedRb,
-    Classification::kDetectedSac, Classification::kSurvived,
-    Classification::kUnknown,
-};
-constexpr std::initializer_list<core::BugKind> kBugKinds = {
-    core::BugKind::kNone,
-    core::BugKind::kFunctionalConsistency,
-    core::BugKind::kEarlyOutput,
-    core::BugKind::kResponseBound,
-    core::BugKind::kInputStarvation,
-    core::BugKind::kSingleActionCorrectness,
-};
 std::string EncodePayload(const MutantReport& report) {
-  std::string out;
-  // Worst case for the last piece: two %.17g doubles (~24 chars each), a
-  // 20-digit uint64, and ~90 literal chars — well under 224.
-  char buf[224];
-  out += "{\"design\":";
-  AppendJsonString(out, report.design);
-  out += ",\"op\":";
-  AppendJsonString(out, MutationOpName(report.key.op));
-  std::snprintf(buf, sizeof(buf), ",\"node\":%u,\"seed\":%" PRIu64,
-                report.key.node, report.key.seed);
-  out += buf;
-  out += ",\"classification\":";
-  AppendJsonString(out, ClassificationName(report.classification));
-  out += ",\"kind\":";
-  AppendJsonString(out, core::BugKindName(report.kind));
-  std::snprintf(buf, sizeof(buf), ",\"cex_cycles\":%u,\"attempts\":%u",
-                report.cex_cycles, report.attempts);
-  out += buf;
-  // Provenance as 16-hex (the wire spelling for uint64s); 0 = untraced.
-  // Written unconditionally so records round-trip field-for-field, decoded
-  // as optional so pre-trace journals still replay.
-  std::snprintf(buf, sizeof(buf), ",\"trace_id\":\"%016" PRIx64 "\"",
-                report.trace_id);
-  out += buf;
-  out += ",\"unknown_reason\":";
-  AppendJsonString(out, ToString(report.unknown_reason));
-  // %.17g round-trips doubles exactly through strtod.
-  std::snprintf(buf, sizeof(buf),
-                ",\"wall_seconds\":%.17g,\"golden_ran\":%s,"
-                "\"golden_detected\":%s,\"golden_cycles\":%" PRIu64
-                ",\"golden_seconds\":%.17g}",
-                report.wall_seconds, report.golden_ran ? "true" : "false",
-                report.golden_detected ? "true" : "false",
-                report.golden_cycles, report.golden_seconds);
-  out += buf;
-  return out;
+  using telemetry::Json;
+  // The uint64 seed and cycle count go as their int64 bit patterns, which
+  // Dump prints exactly; DecodePayload casts them back.
+  return telemetry::Dump(Json::Object({
+      {"design", Json(report.design)},
+      {"op", Json(MutationOpName(report.key.op))},
+      {"node", Json(int64_t{report.key.node})},
+      {"seed", Json(static_cast<int64_t>(report.key.seed))},
+      {"classification", Json(ClassificationName(report.classification))},
+      {"kind", Json(core::BugKindName(report.kind))},
+      {"cex_cycles", Json(int64_t{report.cex_cycles})},
+      {"attempts", Json(int64_t{report.attempts})},
+      // Provenance; 0 = untraced. Written unconditionally so records
+      // round-trip field for field, read leniently so pre-trace journals
+      // still replay.
+      {"trace_id", Json(support::Hex64(report.trace_id))},
+      {"unknown_reason", Json(ToString(report.unknown_reason))},
+      {"wall_seconds", Json(report.wall_seconds)},
+      {"golden_ran", Json(report.golden_ran)},
+      {"golden_detected", Json(report.golden_detected)},
+      {"golden_cycles", Json(static_cast<int64_t>(report.golden_cycles))},
+      {"golden_seconds", Json(report.golden_seconds)},
+  }));
 }
 
 std::optional<MutantReport> DecodePayload(std::string_view payload) {
   const std::optional<telemetry::Json> json = telemetry::ParseJson(payload);
-  if (!json || !json->is_object()) return std::nullopt;
-  const auto string_field =
-      [&](const char* key) -> std::optional<std::string_view> {
-    const telemetry::Json* value = json->Find(key);
-    if (value == nullptr || !value->is_string()) return std::nullopt;
-    return value->AsString();
+  if (!json) return std::nullopt;
+  const auto name = [&](const char* key) {
+    return json->GetString(key).value_or("");
   };
-  const auto int_field = [&](const char* key) -> std::optional<int64_t> {
-    const telemetry::Json* value = json->Find(key);
-    if (value == nullptr || !value->is_number()) return std::nullopt;
-    return value->AsInt();
-  };
-  const auto double_field = [&](const char* key) -> std::optional<double> {
-    const telemetry::Json* value = json->Find(key);
-    if (value == nullptr || !value->is_number()) return std::nullopt;
-    return value->AsNumber();
-  };
-  const auto bool_field = [&](const char* key) -> std::optional<bool> {
-    const telemetry::Json* value = json->Find(key);
-    if (value == nullptr || value->kind() != telemetry::Json::Kind::kBool) {
-      return std::nullopt;
-    }
-    return value->AsBool();
-  };
-
-  MutantReport report;
-  const auto design = string_field("design");
-  const auto op_name = string_field("op");
-  const auto node = int_field("node");
-  const auto seed = int_field("seed");
-  const auto classification_name = string_field("classification");
-  const auto kind_name = string_field("kind");
-  const auto cex_cycles = int_field("cex_cycles");
-  const auto attempts = int_field("attempts");
-  const auto unknown_name = string_field("unknown_reason");
-  const auto wall_seconds = double_field("wall_seconds");
-  const auto golden_ran = bool_field("golden_ran");
-  const auto golden_detected = bool_field("golden_detected");
-  const auto golden_cycles = int_field("golden_cycles");
-  const auto golden_seconds = double_field("golden_seconds");
-  if (!design || !op_name || !node || !seed || !classification_name ||
-      !kind_name || !cex_cycles || !attempts || !unknown_name ||
-      !wall_seconds || !golden_ran || !golden_detected || !golden_cycles ||
-      !golden_seconds) {
+  const auto design = json->GetString("design");
+  const auto op = MutationOpFromName(name("op"));
+  const auto node = json->GetInt("node", 0, UINT32_MAX);
+  const auto seed = json->GetInt("seed", INT64_MIN, INT64_MAX);
+  const auto classification = ClassificationFromName(name("classification"));
+  const auto kind = BugKindFromName(name("kind"));
+  const auto cex_cycles = json->GetInt("cex_cycles", 0, UINT32_MAX);
+  const auto attempts = json->GetInt("attempts", 0, UINT32_MAX);
+  // The wire-stable mapping in support/verdict.h is the single source of
+  // truth for the outcome enums; only the fault-local ones use EnumFromName.
+  const auto unknown = UnknownReasonFromString(name("unknown_reason"));
+  const auto wall_seconds = json->GetDouble("wall_seconds");
+  const auto golden_ran = json->GetBool("golden_ran");
+  const auto golden_detected = json->GetBool("golden_detected");
+  const auto golden_cycles =
+      json->GetInt("golden_cycles", INT64_MIN, INT64_MAX);
+  const auto golden_seconds = json->GetDouble("golden_seconds");
+  if (!design || !op || !node || !seed || !classification || !kind ||
+      !cex_cycles || !attempts || !unknown || !wall_seconds || !golden_ran ||
+      !golden_detected || !golden_cycles || !golden_seconds) {
     return std::nullopt;
   }
-  const auto op = MutationOpFromName(*op_name);
-  const auto classification = ClassificationFromName(*classification_name);
-  const auto kind = BugKindFromName(*kind_name);
-  // The wire-stable mapping in support/verdict.h is the single source of
-  // truth for the outcome enums; only the fault-local enums keep lists here.
-  const auto unknown = UnknownReasonFromString(*unknown_name);
-  if (!op || !classification || !kind || !unknown) return std::nullopt;
 
-  // trace_id is optional (journals written before it existed lack the
-  // field) and deliberately lax: a malformed value degrades to "untraced",
-  // never poisons an otherwise-valid classification record.
-  if (const auto trace = string_field("trace_id");
-      trace && trace->size() == 16) {
-    uint64_t value = 0;
-    bool valid = true;
-    for (const char c : *trace) {
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= static_cast<uint64_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') value |= static_cast<uint64_t>(c - 'a' + 10);
-      else { valid = false; break; }
-    }
-    if (valid) report.trace_id = value;
-  }
-
-  report.design = std::string(*design);
+  MutantReport report;
+  report.design = *design;
   report.key.op = *op;
   report.key.node = static_cast<ir::NodeRef>(*node);
   report.key.seed = static_cast<uint64_t>(*seed);
@@ -196,6 +92,10 @@ std::optional<MutantReport> DecodePayload(std::string_view payload) {
   report.kind = *kind;
   report.cex_cycles = static_cast<uint32_t>(*cex_cycles);
   report.attempts = static_cast<uint32_t>(*attempts);
+  // trace_id is optional (journals written before it existed lack the
+  // field) and deliberately lax: a malformed value degrades to "untraced",
+  // never poisons an otherwise-valid classification record.
+  report.trace_id = json->GetHex64("trace_id").value_or(0);
   report.unknown_reason = *unknown;
   report.wall_seconds = *wall_seconds;
   report.golden_ran = *golden_ran;
@@ -208,72 +108,26 @@ std::optional<MutantReport> DecodePayload(std::string_view payload) {
 }  // namespace
 
 std::optional<MutationOp> MutationOpFromName(std::string_view name) {
-  return EnumFromName(name, kMutationOps, MutationOpName);
+  return EnumFromName(name, MutationOp::kOffByOne, MutationOpName);
 }
 
 std::optional<Classification> ClassificationFromName(std::string_view name) {
-  return EnumFromName(name, kClassifications, ClassificationName);
+  return EnumFromName(name, Classification::kUnknown, ClassificationName);
 }
 
 std::optional<core::BugKind> BugKindFromName(std::string_view name) {
-  return EnumFromName(name, kBugKinds, core::BugKindName);
-}
-
-uint32_t Crc32(std::string_view data) {
-  // Table-driven CRC-32 (IEEE 802.3 polynomial, reflected). In-tree so the
-  // journal needs no zlib; the table builds once.
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
-      }
-      t[i] = crc;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (const char c : data) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<uint8_t>(c)) & 0xFF];
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return EnumFromName(name, core::BugKind::kSingleActionCorrectness,
+                      core::BugKindName);
 }
 
 std::string EncodeJournalRecord(const MutantReport& report) {
-  const std::string payload = EncodePayload(report);
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", Crc32(payload));
-  std::string line;
-  line.reserve(kCrcPrefix.size() + 8 + kDataInfix.size() + payload.size() +
-               kLineSuffix.size() + 1);
-  line += kCrcPrefix;
-  line += crc;
-  line += kDataInfix;
-  line += payload;
-  line += kLineSuffix;
-  line += '\n';
-  return line;
+  return support::SealRecord(EncodePayload(report));
 }
 
 std::optional<MutantReport> DecodeJournalRecord(std::string_view line) {
-  const size_t header = kCrcPrefix.size() + 8 + kDataInfix.size();
-  if (line.size() < header + kLineSuffix.size()) return std::nullopt;
-  if (line.substr(0, kCrcPrefix.size()) != kCrcPrefix) return std::nullopt;
-  if (line.substr(kCrcPrefix.size() + 8, kDataInfix.size()) != kDataInfix) {
-    return std::nullopt;
-  }
-  if (line.substr(line.size() - kLineSuffix.size()) != kLineSuffix) {
-    return std::nullopt;
-  }
-  const std::string hex(line.substr(kCrcPrefix.size(), 8));
-  char* end = nullptr;
-  const unsigned long expected = std::strtoul(hex.c_str(), &end, 16);
-  if (end != hex.c_str() + 8) return std::nullopt;
-  const std::string_view payload =
-      line.substr(header, line.size() - header - kLineSuffix.size());
-  if (Crc32(payload) != static_cast<uint32_t>(expected)) return std::nullopt;
-  return DecodePayload(payload);
+  const std::optional<std::string_view> payload = support::OpenRecord(line);
+  if (!payload) return std::nullopt;
+  return DecodePayload(*payload);
 }
 
 StatusOr<JournalReplay> ReplayJournal(const std::string& path) {
@@ -281,40 +135,10 @@ StatusOr<JournalReplay> ReplayJournal(const std::string& path) {
   if (!std::filesystem::exists(path, ec)) return JournalReplay{};
   StatusOr<std::string> contents = support::ReadFileToString(path);
   if (!contents.ok()) return contents.status();
-  const std::string& text = contents.value();
-
-  JournalReplay replay;
-  size_t start = 0;
-  while (start < text.size()) {
-    const size_t newline = text.find('\n', start);
-    if (newline == std::string::npos) {
-      // Unterminated tail. Appends always end in '\n', so this is a torn
-      // write — unless the bytes happen to decode (a file that lost only
-      // its final newline), in which case keep the record.
-      std::optional<MutantReport> record =
-          DecodeJournalRecord(std::string_view(text).substr(start));
-      if (record.has_value()) {
-        replay.records.push_back(std::move(*record));
-        replay.valid_bytes = text.size();
-      } else {
-        replay.torn_tail = true;
-      }
-      break;
-    }
-    const std::string_view line =
-        std::string_view(text).substr(start, newline - start);
-    start = newline + 1;
-    if (line.empty()) continue;
-    std::optional<MutantReport> record = DecodeJournalRecord(line);
-    if (record.has_value()) {
-      replay.records.push_back(std::move(*record));
-      replay.valid_bytes = start;
-    } else {
-      ++replay.skipped_records;
-      std::fprintf(stderr,
-                   "[journal] %s: skipping corrupt record at byte %zu\n",
-                   path.c_str(), start - line.size() - 1);
-    }
+  JournalReplay replay = support::ScanRecords(contents.value(), DecodePayload);
+  if (replay.skipped_records > 0) {
+    std::fprintf(stderr, "[journal] %s: skipped %zu corrupt record(s)\n",
+                 path.c_str(), replay.skipped_records);
   }
   return replay;
 }

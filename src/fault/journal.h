@@ -10,12 +10,8 @@
 // order-independent classification digest (campaign.h) then proves the
 // resumed run identical to an uninterrupted one.
 //
-// Format: JSONL, one record per line, each line CRC-guarded:
-//
-//   {"crc":"1a2b3c4d","data":{"design":"memctrl-fifo","op":"op-swap",...}}
-//
-// The CRC-32 covers exactly the bytes of the "data" value, so a torn write
-// (any strict prefix of a line) and a corrupted record are both detected.
+// Format: one CRC-guarded record line per mutant (support/record.h), its
+// payload a JSON object {"attempts":1,...,"design":"memctrl-fifo",...}.
 // Replay skips corrupt mid-file records with a counted warning and treats
 // an undecodable unterminated tail as torn: the campaign truncates it and
 // continues appending — exactly the posture a kill -9 mid-append demands.
@@ -33,12 +29,10 @@
 #include <vector>
 
 #include "fault/campaign.h"
+#include "support/record.h"
 #include "support/status.h"
 
 namespace aqed::fault {
-
-// CRC-32 (IEEE 802.3, reflected) over `data`. Exposed for tests.
-uint32_t Crc32(std::string_view data);
 
 // Reverse lookups for the fault-local enums the journal stores by name
 // (MutationOpName / ClassificationName / BugKindName are the forward maps).
@@ -55,16 +49,11 @@ std::string EncodeJournalRecord(const MutantReport& report);
 // CRC failure.
 std::optional<MutantReport> DecodeJournalRecord(std::string_view line);
 
-struct JournalReplay {
-  std::vector<MutantReport> records;  // file order
-  // Complete-but-undecodable lines (bad CRC / bad JSON), warned and skipped.
-  size_t skipped_records = 0;
-  // The file ended in a partial record (torn write) that was dropped.
-  bool torn_tail = false;
-  // Byte length of the decodable prefix: what ResultJournal::Open keeps
-  // when re-opening the journal for append.
-  uint64_t valid_bytes = 0;
-};
+// The records in file order, plus what replay dropped: complete lines that
+// failed their CRC or decode (warned and skipped), a torn tail, and
+// valid_bytes, the decodable prefix ResultJournal::Open keeps when it
+// re-opens the journal for append.
+using JournalReplay = support::RecordScan<MutantReport>;
 
 // Replays the journal. A missing file is not an error — it yields an empty
 // replay (resuming a campaign that never started is a fresh campaign).

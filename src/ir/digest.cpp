@@ -2,29 +2,15 @@
 
 #include <string_view>
 
+#include "support/record.h"
+
 namespace aqed::ir {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t MixInt(uint64_t hash, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xFF;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-uint64_t MixText(uint64_t hash, std::string_view text) {
-  for (const char c : text) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= kFnvPrime;
-  }
-  // Length-terminate so ("ab","c") never collides with ("a","bc").
-  return MixInt(hash, text.size());
-}
+using support::kFnvOffset;
+using support::MixInt;
+using support::MixText;
 
 uint64_t MixSort(uint64_t hash, const Sort& sort) {
   hash = MixInt(hash, static_cast<uint64_t>(sort.kind));

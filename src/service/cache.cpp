@@ -1,8 +1,7 @@
 #include "service/cache.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+#include <cstdint>
 #include <map>
 #include <string_view>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "ir/digest.h"
 #include "support/failpoint.h"
 #include "support/io.h"
+#include "support/record.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 
@@ -19,171 +19,79 @@ namespace aqed::service {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t MixInt(uint64_t hash, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xFF;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-uint64_t MixText(uint64_t hash, std::string_view text) {
-  for (const char c : text) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= kFnvPrime;
-  }
-  return MixInt(hash, text.size());
-}
-
-// Persistence reuses the journal's line skeleton so the CRC covers exactly
-// the "data" payload bytes and torn tails are detected the same way:
-//   {"crc":"1a2b3c4d","data":{...}}
-constexpr std::string_view kCrcPrefix = "{\"crc\":\"";
-constexpr std::string_view kDataInfix = "\",\"data\":";
-constexpr std::string_view kLineSuffix = "}";
+using support::MixInt;
+using support::MixText;
 
 std::string EncodeEntry(const CacheKey& key, const CachedVerdict& verdict) {
-  std::map<std::string, telemetry::Json> data;
-  char hex[20];
-  std::snprintf(hex, sizeof(hex), "%016" PRIx64, key.design_digest);
-  data.emplace("design", telemetry::Json(std::string(hex)));
-  std::snprintf(hex, sizeof(hex), "%016" PRIx64, key.config_digest);
-  data.emplace("config", telemetry::Json(std::string(hex)));
-  data.emplace("mutant", telemetry::Json(key.mutant_key));
-  data.emplace("depth", telemetry::Json(static_cast<int64_t>(key.depth)));
-  data.emplace("classification",
-               telemetry::Json(std::string(
-                   fault::ClassificationName(verdict.classification))));
-  data.emplace("kind", telemetry::Json(std::string(
-                           core::BugKindName(verdict.kind))));
-  data.emplace("cex_cycles",
-               telemetry::Json(static_cast<int64_t>(verdict.cex_cycles)));
-  data.emplace("attempts",
-               telemetry::Json(static_cast<int64_t>(verdict.attempts)));
+  using telemetry::Json;
+  std::map<std::string, Json> data = {
+      {"design", Json(support::Hex64(key.design_digest))},
+      {"config", Json(support::Hex64(key.config_digest))},
+      {"mutant", Json(key.mutant_key)},
+      {"depth", Json(int64_t{key.depth})},
+      {"classification",
+       Json(fault::ClassificationName(verdict.classification))},
+      {"kind", Json(core::BugKindName(verdict.kind))},
+      {"cex_cycles", Json(int64_t{verdict.cex_cycles})},
+      {"attempts", Json(int64_t{verdict.attempts})},
+  };
   if (verdict.trace_id != 0) {
-    std::snprintf(hex, sizeof(hex), "%016" PRIx64, verdict.trace_id);
-    data.emplace("trace_id", telemetry::Json(std::string(hex)));
+    data.emplace("trace_id", Json(support::Hex64(verdict.trace_id)));
   }
-  const std::string payload =
-      telemetry::Dump(telemetry::Json::Object(std::move(data)));
-
-  std::string line(kCrcPrefix);
-  std::snprintf(hex, sizeof(hex), "%08x", fault::Crc32(payload));
-  line += hex;
-  line += kDataInfix;
-  line += payload;
-  line += kLineSuffix;
-  line += '\n';
-  return line;
-}
-
-std::optional<uint64_t> HexField(const telemetry::Json& json,
-                                 const char* name) {
-  const telemetry::Json* value = json.Find(name);
-  if (value == nullptr || !value->is_string()) return std::nullopt;
-  const std::string& text = value->AsString();
-  if (text.size() != 16) return std::nullopt;
-  uint64_t out = 0;
-  for (const char c : text) {
-    out <<= 4;
-    if (c >= '0' && c <= '9') out |= static_cast<uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') out |= static_cast<uint64_t>(c - 'a' + 10);
-    else return std::nullopt;
-  }
-  return out;
+  return support::SealRecord(
+      telemetry::Dump(Json::Object(std::move(data))));
 }
 
 std::optional<std::pair<CacheKey, CachedVerdict>> DecodeEntry(
-    std::string_view line) {
-  // Same validation ladder as DecodeJournalRecord: skeleton, CRC over the
-  // payload bytes, then JSON + enum decode. Any failure poisons the line.
-  if (line.size() < kCrcPrefix.size() + 8 + kDataInfix.size() +
-                        kLineSuffix.size() ||
-      line.substr(0, kCrcPrefix.size()) != kCrcPrefix) {
-    return std::nullopt;
-  }
-  const std::string_view crc_hex = line.substr(kCrcPrefix.size(), 8);
-  if (line.substr(kCrcPrefix.size() + 8, kDataInfix.size()) != kDataInfix) {
-    return std::nullopt;
-  }
-  if (line.substr(line.size() - kLineSuffix.size()) != kLineSuffix) {
-    return std::nullopt;
-  }
-  const std::string_view payload =
-      line.substr(kCrcPrefix.size() + 8 + kDataInfix.size(),
-                  line.size() - kCrcPrefix.size() - 8 - kDataInfix.size() -
-                      kLineSuffix.size());
-  uint32_t expected = 0;
-  for (const char c : crc_hex) {
-    expected <<= 4;
-    if (c >= '0' && c <= '9') expected |= static_cast<uint32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') expected |= static_cast<uint32_t>(c - 'a' + 10);
-    else return std::nullopt;
-  }
-  if (fault::Crc32(payload) != expected) return std::nullopt;
-
+    std::string_view payload) {
   const std::optional<telemetry::Json> json = telemetry::ParseJson(payload);
-  if (!json || !json->is_object()) return std::nullopt;
-  const auto design = HexField(*json, "design");
-  const auto config = HexField(*json, "config");
-  const telemetry::Json* mutant = json->Find("mutant");
-  const telemetry::Json* depth = json->Find("depth");
-  const telemetry::Json* classification = json->Find("classification");
-  const telemetry::Json* kind = json->Find("kind");
-  const telemetry::Json* cex = json->Find("cex_cycles");
-  const telemetry::Json* attempts = json->Find("attempts");
-  if (!design || !config || mutant == nullptr || !mutant->is_string() ||
-      depth == nullptr || !depth->is_number() || classification == nullptr ||
-      !classification->is_string() || kind == nullptr || !kind->is_string() ||
-      cex == nullptr || !cex->is_number() || attempts == nullptr ||
-      !attempts->is_number()) {
-    return std::nullopt;
-  }
-  const auto decoded_class =
-      fault::ClassificationFromName(classification->AsString());
-  const auto decoded_kind = fault::BugKindFromName(kind->AsString());
-  if (!decoded_class || !decoded_kind) return std::nullopt;
+  if (!json) return std::nullopt;
+  const auto name = [&](const char* key) {
+    return json->GetString(key).value_or("");
+  };
+  const auto design = json->GetHex64("design");
+  const auto config = json->GetHex64("config");
+  const auto mutant = json->GetString("mutant");
+  const auto depth = json->GetInt("depth", 0, UINT32_MAX);
+  const auto classification =
+      fault::ClassificationFromName(name("classification"));
+  const auto kind = fault::BugKindFromName(name("kind"));
+  const auto cex_cycles = json->GetInt("cex_cycles", 0, UINT32_MAX);
+  const auto attempts = json->GetInt("attempts", 0, UINT32_MAX);
   // A persisted kUnknown can only come from corruption or hand-editing:
   // Store refuses them, so Load does too.
-  if (*decoded_class == fault::Classification::kUnknown) return std::nullopt;
+  if (!design || !config || !mutant || !depth || !classification ||
+      *classification == fault::Classification::kUnknown || !kind ||
+      !cex_cycles || !attempts) {
+    return std::nullopt;
+  }
 
   CacheKey key;
   key.design_digest = *design;
   key.config_digest = *config;
-  key.mutant_key = mutant->AsString();
-  key.depth = static_cast<uint32_t>(depth->AsInt());
+  key.mutant_key = *mutant;
+  key.depth = static_cast<uint32_t>(*depth);
   CachedVerdict verdict;
-  verdict.classification = *decoded_class;
-  verdict.kind = *decoded_kind;
-  verdict.cex_cycles = static_cast<uint32_t>(cex->AsInt());
-  verdict.attempts = static_cast<uint32_t>(attempts->AsInt());
+  verdict.classification = *classification;
+  verdict.kind = *kind;
+  verdict.cex_cycles = static_cast<uint32_t>(*cex_cycles);
+  verdict.attempts = static_cast<uint32_t>(*attempts);
   // Optional provenance: files written before trace ids (or entries solved
   // by an untraced run) simply have none.
-  if (const auto trace = HexField(*json, "trace_id")) {
-    verdict.trace_id = *trace;
-  }
+  verdict.trace_id = json->GetHex64("trace_id").value_or(0);
   return std::make_pair(std::move(key), verdict);
 }
 
 }  // namespace
 
 std::string CacheKey::ToString() const {
-  char buf[64];
-  std::string out;
-  std::snprintf(buf, sizeof(buf), "d=%016" PRIx64 " c=%016" PRIx64 " m=",
-                design_digest, config_digest);
-  out += buf;
-  out += mutant_key;
-  std::snprintf(buf, sizeof(buf), " b=%u", depth);
-  out += buf;
-  return out;
+  return "d=" + support::Hex64(design_digest) + " c=" +
+         support::Hex64(config_digest) + " m=" + mutant_key +
+         " b=" + std::to_string(depth);
 }
 
 size_t CacheKeyHash::operator()(const CacheKey& key) const {
-  uint64_t hash = kFnvOffset;
+  uint64_t hash = support::kFnvOffset;
   hash = MixInt(hash, key.design_digest);
   hash = MixInt(hash, key.config_digest);
   hash = MixText(hash, key.mutant_key);
@@ -192,7 +100,7 @@ size_t CacheKeyHash::operator()(const CacheKey& key) const {
 }
 
 uint64_t ConfigDigest(const core::AqedOptions& options) {
-  uint64_t hash = MixInt(kFnvOffset, 0xC0F1D16Eu);  // format version salt
+  uint64_t hash = MixInt(support::kFnvOffset, 0xC0F1D16Eu);  // format version salt
   hash = MixInt(hash, options.check_fc ? 1 : 0);
   hash = MixText(hash, options.fc.label);
   hash = MixInt(hash, options.fc.check_early_output ? 1 : 0);
@@ -251,26 +159,20 @@ void SolveCache::SetMaxEntries(size_t max_entries) {
 Status SolveCache::Load(const std::string& path) {
   StatusOr<std::string> contents = support::ReadFileToString(path);
   if (!contents.ok()) return Status::Ok();  // missing cache = empty cache
-  const std::string& text = contents.value();
+  auto scan = support::ScanRecords(contents.value(), DecodeEntry);
+  // A torn tail is one more poisoned line: its mutant is simply re-solved.
+  const uint64_t dropped = scan.skipped_records + (scan.torn_tail ? 1 : 0);
 
   std::lock_guard<std::mutex> lock(mutex_);
-  size_t begin = 0;
-  while (begin < text.size()) {
-    size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();  // torn tail: poisoned
-    const std::string_view line(text.data() + begin, end - begin);
-    if (!line.empty()) {
-      if (auto entry = DecodeEntry(line)) {
-        // Load order approximates the persisted file's recency: Save wrote
-        // survivors of the previous trim, so all of them start equally warm
-        // relative to anything stored later in this run.
-        entries_[std::move(entry->first)] = Slot{entry->second, ++tick_};
-      } else {
-        ++poisoned_;
-        telemetry::AddCounter("service.cache.dropped", 1);
-      }
-    }
-    begin = end + 1;
+  for (auto& [key, verdict] : scan.records) {
+    // Load order approximates the persisted file's recency: Save wrote
+    // survivors of the previous trim, so all of them start equally warm
+    // relative to anything stored later in this run.
+    entries_[std::move(key)] = Slot{verdict, ++tick_};
+  }
+  poisoned_ += dropped;
+  if (dropped > 0) {
+    telemetry::AddCounter("service.cache.dropped", dropped);
   }
   telemetry::SetGauge("service.cache.entries",
                       static_cast<int64_t>(entries_.size()));

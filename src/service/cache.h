@@ -18,8 +18,8 @@
 // never cached — an unknown is a budget artifact of one run, not a
 // property of the design.
 //
-// Persistence reuses the journal posture (fault/journal.h): CRC-guarded
-// JSONL, written atomically via tmp+fsync+rename. A poisoned line — torn
+// Persistence is one CRC-guarded record line per entry (support/record.h),
+// written atomically via tmp+fsync+rename. A poisoned line — torn
 // write, flipped bit, hand-edited garbage — fails its CRC or decode at
 // Load, is dropped and counted, and the affected mutant is simply
 // re-solved: corruption can cost a cache hit, never an answer.

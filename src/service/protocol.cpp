@@ -1,15 +1,19 @@
 #include "service/protocol.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <utility>
 
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include "support/record.h"
 
 namespace aqed::service {
 
@@ -59,63 +63,22 @@ StatusOr<std::string> ReadExact(int fd, size_t n, const char* what) {
   return out;
 }
 
-uint64_t UintField(const Json& json, const char* name, uint64_t fallback) {
-  const Json* value = json.Find(name);
-  if (value == nullptr || !value->is_number()) return fallback;
-  const int64_t raw = value->AsInt();
-  return raw < 0 ? fallback : static_cast<uint64_t>(raw);
-}
+// Counts go out as JSON integers: exact in Dump and ParseJson up to 2^63.
+Json Int(uint64_t value) { return Json(static_cast<int64_t>(value)); }
 
-bool BoolField(const Json& json, const char* name, bool fallback) {
-  const Json* value = json.Find(name);
-  if (value == nullptr || value->kind() != Json::Kind::kBool) return fallback;
-  return value->AsBool();
-}
-
-std::string StringField(const Json& json, const char* name,
-                        std::string fallback = {}) {
-  const Json* value = json.Find(name);
-  if (value == nullptr || !value->is_string()) return fallback;
-  return value->AsString();
-}
-
-// uint64 values cross the wire as 16-hex-digit strings: JSON numbers are
-// doubles in most readers and lose integers above 2^53, which both digests
-// and seeds can exceed.
-std::string HexString(uint64_t value) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-  return std::string(buf);
-}
-
-std::optional<uint64_t> HexValue(const Json& json, const char* name) {
-  const Json* value = json.Find(name);
-  if (value == nullptr || !value->is_string() ||
-      value->AsString().size() != 16) {
-    return std::nullopt;
-  }
-  uint64_t out = 0;
-  for (const char c : value->AsString()) {
-    out <<= 4;
-    if (c >= '0' && c <= '9') out |= static_cast<uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') out |= static_cast<uint64_t>(c - 'a' + 10);
-    else return std::nullopt;
-  }
-  return out;
-}
-
-StatusOr<Json> ParseResponse(std::string_view payload) {
+// Parses a response payload and fills its ok/error columns; the caller
+// reads the other fields only when `response.ok`.
+template <typename Response>
+StatusOr<Json> ParseResponse(std::string_view payload, Response& response) {
   std::optional<Json> json = telemetry::ParseJson(payload);
   if (!json || !json->is_object()) {
     return Status::Error("malformed response payload");
   }
+  response.ok = json->GetBool("ok").value_or(false);
+  if (!response.ok) {
+    response.error = json->GetString("error").value_or("unspecified error");
+  }
   return std::move(*json);
-}
-
-double DoubleField(const Json& json, const char* name, double fallback) {
-  const Json* value = json.Find(name);
-  if (value == nullptr || !value->is_number()) return fallback;
-  return value->AsNumber();
 }
 
 }  // namespace
@@ -185,71 +148,60 @@ StatusOr<std::string> ReadFrame(int fd) {
 }
 
 std::string EncodePing() {
-  return telemetry::Dump(
-      Json::Object({{"type", Json(std::string("ping"))}}));
+  return telemetry::Dump(Json::Object({{"type", Json("ping")}}));
 }
 
 std::string EncodeStatsRequest() {
-  return telemetry::Dump(
-      Json::Object({{"type", Json(std::string("stats"))}}));
+  return telemetry::Dump(Json::Object({{"type", Json("stats")}}));
 }
 
 std::string EncodeStatusRequest() {
-  return telemetry::Dump(
-      Json::Object({{"type", Json(std::string("status"))}}));
+  return telemetry::Dump(Json::Object({{"type", Json("status")}}));
 }
 
 std::string EncodeMetricsRequest() {
-  return telemetry::Dump(
-      Json::Object({{"type", Json(std::string("metrics"))}}));
+  return telemetry::Dump(Json::Object({{"type", Json("metrics")}}));
 }
 
 std::string EncodeHealthRequest() {
-  return telemetry::Dump(
-      Json::Object({{"type", Json(std::string("health"))}}));
+  return telemetry::Dump(Json::Object({{"type", Json("health")}}));
 }
 
 std::string EncodeCampaignRequest(const CampaignRequest& request) {
-  std::map<std::string, Json> fields;
-  fields.emplace("type", Json(std::string("campaign")));
-  fields.emplace("tenant", Json(request.tenant));
-  if (request.trace_id != 0) {
-    fields.emplace("trace_id", Json(HexString(request.trace_id)));
-  }
   std::vector<Json> designs;
   for (const std::string& design : request.designs) {
     designs.emplace_back(design);
   }
-  fields.emplace("designs", Json::Array(std::move(designs)));
-  fields.emplace("mutants", Json(static_cast<int64_t>(request.num_mutants)));
-  fields.emplace("seed", Json(HexString(request.seed)));
-  fields.emplace("with_aes", Json(request.with_aes));
-  fields.emplace("baseline", Json(request.baseline));
-  fields.emplace("jobs", Json(static_cast<int64_t>(request.jobs)));
-  fields.emplace("deadline_ms",
-                 Json(static_cast<int64_t>(request.deadline_ms)));
-  fields.emplace("memory_budget_mb",
-                 Json(static_cast<int64_t>(request.memory_budget_mb)));
-  fields.emplace("retries", Json(static_cast<int64_t>(request.retries)));
+  std::map<std::string, Json> fields = {
+      {"type", Json("campaign")},
+      {"tenant", Json(request.tenant)},
+      {"designs", Json::Array(std::move(designs))},
+      {"mutants", Int(request.num_mutants)},
+      {"seed", Json(support::Hex64(request.seed))},
+      {"with_aes", Json(request.with_aes)},
+      {"baseline", Json(request.baseline)},
+      {"jobs", Int(request.jobs)},
+      {"deadline_ms", Int(request.deadline_ms)},
+      {"memory_budget_mb", Int(request.memory_budget_mb)},
+      {"retries", Int(request.retries)},
+  };
+  if (request.trace_id != 0) {
+    fields.emplace("trace_id", Json(support::Hex64(request.trace_id)));
+  }
   return telemetry::Dump(Json::Object(std::move(fields)));
 }
 
 std::optional<std::string> RequestType(const Json& payload) {
-  if (!payload.is_object()) return std::nullopt;
-  const Json* type = payload.Find("type");
-  if (type == nullptr || !type->is_string()) return std::nullopt;
-  return type->AsString();
+  return payload.GetString("type");
 }
 
 StatusOr<CampaignRequest> DecodeCampaignRequest(const Json& payload) {
   CampaignRequest request;
-  request.tenant = StringField(payload, "tenant", request.tenant);
+  request.tenant = payload.GetString("tenant").value_or(request.tenant);
   if (request.tenant.empty()) {
     return Status::Error("campaign request with an empty tenant");
   }
-  if (const auto trace = HexValue(payload, "trace_id")) {
-    request.trace_id = *trace;
-  }
+  request.trace_id = payload.GetHex64("trace_id").value_or(0);
   const Json* designs = payload.Find("designs");
   if (designs != nullptr) {
     if (!designs->is_array()) {
@@ -262,22 +214,28 @@ StatusOr<CampaignRequest> DecodeCampaignRequest(const Json& payload) {
       request.designs.push_back(design.AsString());
     }
   }
-  request.num_mutants = static_cast<uint32_t>(
-      UintField(payload, "mutants", request.num_mutants));
+  // Absent counts keep their defaults; present ones must be integers that
+  // fit uint32 (truncating 2^32 + 1 to 1 would run the wrong campaign).
+  for (const auto& [name, field] :
+       {std::pair{"mutants", &request.num_mutants},
+        {"jobs", &request.jobs},
+        {"deadline_ms", &request.deadline_ms},
+        {"memory_budget_mb", &request.memory_budget_mb},
+        {"retries", &request.retries}}) {
+    if (payload.Find(name) == nullptr) continue;
+    const std::optional<int64_t> value = payload.GetInt(name, 0, UINT32_MAX);
+    if (!value) {
+      return Status::Error(std::string("campaign '") + name +
+                           "' must be an integer in [0, 4294967295]");
+    }
+    *field = static_cast<uint32_t>(*value);
+  }
   if (request.num_mutants == 0) {
     return Status::Error("campaign request with zero mutants");
   }
-  if (const auto seed = HexValue(payload, "seed")) request.seed = *seed;
-  request.with_aes = BoolField(payload, "with_aes", request.with_aes);
-  request.baseline = BoolField(payload, "baseline", request.baseline);
-  request.jobs =
-      static_cast<uint32_t>(UintField(payload, "jobs", request.jobs));
-  request.deadline_ms = static_cast<uint32_t>(
-      UintField(payload, "deadline_ms", request.deadline_ms));
-  request.memory_budget_mb = static_cast<uint32_t>(
-      UintField(payload, "memory_budget_mb", request.memory_budget_mb));
-  request.retries =
-      static_cast<uint32_t>(UintField(payload, "retries", request.retries));
+  request.seed = payload.GetHex64("seed").value_or(request.seed);
+  request.with_aes = payload.GetBool("with_aes").value_or(request.with_aes);
+  request.baseline = payload.GetBool("baseline").value_or(request.baseline);
   return request;
 }
 
@@ -291,127 +249,109 @@ std::string EncodeError(std::string_view message) {
 std::string EncodePong() {
   return telemetry::Dump(Json::Object({
       {"ok", Json(true)},
-      {"type", Json(std::string("pong"))},
+      {"type", Json("pong")},
   }));
 }
 
 std::string EncodeCampaignResponse(const CampaignResponse& response) {
   if (!response.ok) return EncodeError(response.error);
-  std::map<std::string, Json> fields;
-  fields.emplace("ok", Json(true));
+  std::map<std::string, Json> fields = {
+      {"ok", Json(true)},
+      {"digest", Json(support::Hex64(response.digest))},
+      {"mutants", Int(response.mutants)},
+      {"classified", Int(response.classified)},
+      {"cache_hits", Int(response.cache_hits)},
+      {"cache_misses", Int(response.cache_misses)},
+      {"wall_seconds", Json(response.wall_seconds)},
+      {"table", Json(response.table)},
+  };
   if (response.trace_id != 0) {
-    fields.emplace("trace_id", Json(HexString(response.trace_id)));
+    fields.emplace("trace_id", Json(support::Hex64(response.trace_id)));
   }
-  fields.emplace("digest", Json(HexString(response.digest)));
-  fields.emplace("mutants", Json(static_cast<int64_t>(response.mutants)));
-  fields.emplace("classified",
-                 Json(static_cast<int64_t>(response.classified)));
-  fields.emplace("cache_hits",
-                 Json(static_cast<int64_t>(response.cache_hits)));
-  fields.emplace("cache_misses",
-                 Json(static_cast<int64_t>(response.cache_misses)));
-  fields.emplace("wall_seconds", Json(response.wall_seconds));
-  fields.emplace("table", Json(response.table));
   return telemetry::Dump(Json::Object(std::move(fields)));
 }
 
 std::string EncodeStatsResponse(const StatsResponse& response) {
   if (!response.ok) return EncodeError(response.error);
-  std::map<std::string, Json> fields;
-  fields.emplace("ok", Json(true));
-  fields.emplace("live_requests",
-                 Json(static_cast<int64_t>(response.live_requests)));
-  fields.emplace("accepted", Json(static_cast<int64_t>(response.accepted)));
-  fields.emplace("rejected", Json(static_cast<int64_t>(response.rejected)));
-  fields.emplace("cache_entries",
-                 Json(static_cast<int64_t>(response.cache_entries)));
-  fields.emplace("cache_hits",
-                 Json(static_cast<int64_t>(response.cache_hits)));
-  fields.emplace("cache_misses",
-                 Json(static_cast<int64_t>(response.cache_misses)));
-  return telemetry::Dump(Json::Object(std::move(fields)));
+  return telemetry::Dump(Json::Object({
+      {"ok", Json(true)},
+      {"live_requests", Int(response.live_requests)},
+      {"accepted", Int(response.accepted)},
+      {"rejected", Int(response.rejected)},
+      {"cache_entries", Int(response.cache_entries)},
+      {"cache_hits", Int(response.cache_hits)},
+      {"cache_misses", Int(response.cache_misses)},
+  }));
 }
 
 StatusOr<CampaignResponse> DecodeCampaignResponse(std::string_view payload) {
-  StatusOr<Json> json = ParseResponse(payload);
-  if (!json.ok()) return json.status();
   CampaignResponse response;
-  response.ok = BoolField(json.value(), "ok", false);
-  if (!response.ok) {
-    response.error = StringField(json.value(), "error", "unspecified error");
-    return response;
-  }
-  if (const auto trace = HexValue(json.value(), "trace_id")) {
-    response.trace_id = *trace;
-  }
-  const auto digest = HexValue(json.value(), "digest");
+  StatusOr<Json> parsed = ParseResponse(payload, response);
+  if (!parsed.ok()) return parsed.status();
+  if (!response.ok) return response;
+  const Json& json = parsed.value();
+  response.trace_id = json.GetHex64("trace_id").value_or(0);
+  const auto digest = json.GetHex64("digest");
   if (!digest) return Status::Error("campaign response without a digest");
   response.digest = *digest;
-  response.mutants = UintField(json.value(), "mutants", 0);
-  response.classified = UintField(json.value(), "classified", 0);
-  response.cache_hits = UintField(json.value(), "cache_hits", 0);
-  response.cache_misses = UintField(json.value(), "cache_misses", 0);
-  const Json* wall = json.value().Find("wall_seconds");
-  if (wall != nullptr && wall->is_number()) {
-    response.wall_seconds = wall->AsNumber();
-  }
-  response.table = StringField(json.value(), "table");
+  response.mutants = json.GetInt("mutants", 0, INT64_MAX).value_or(0);
+  response.classified = json.GetInt("classified", 0, INT64_MAX).value_or(0);
+  response.cache_hits = json.GetInt("cache_hits", 0, INT64_MAX).value_or(0);
+  response.cache_misses =
+      json.GetInt("cache_misses", 0, INT64_MAX).value_or(0);
+  response.wall_seconds = json.GetDouble("wall_seconds").value_or(0);
+  response.table = json.GetString("table").value_or("");
   return response;
 }
 
 StatusOr<StatsResponse> DecodeStatsResponse(std::string_view payload) {
-  StatusOr<Json> json = ParseResponse(payload);
-  if (!json.ok()) return json.status();
   StatsResponse response;
-  response.ok = BoolField(json.value(), "ok", false);
-  if (!response.ok) {
-    response.error = StringField(json.value(), "error", "unspecified error");
-    return response;
-  }
-  response.live_requests = UintField(json.value(), "live_requests", 0);
-  response.accepted = UintField(json.value(), "accepted", 0);
-  response.rejected = UintField(json.value(), "rejected", 0);
-  response.cache_entries = UintField(json.value(), "cache_entries", 0);
-  response.cache_hits = UintField(json.value(), "cache_hits", 0);
-  response.cache_misses = UintField(json.value(), "cache_misses", 0);
+  StatusOr<Json> parsed = ParseResponse(payload, response);
+  if (!parsed.ok()) return parsed.status();
+  if (!response.ok) return response;
+  const Json& json = parsed.value();
+  response.live_requests =
+      json.GetInt("live_requests", 0, INT64_MAX).value_or(0);
+  response.accepted = json.GetInt("accepted", 0, INT64_MAX).value_or(0);
+  response.rejected = json.GetInt("rejected", 0, INT64_MAX).value_or(0);
+  response.cache_entries =
+      json.GetInt("cache_entries", 0, INT64_MAX).value_or(0);
+  response.cache_hits = json.GetInt("cache_hits", 0, INT64_MAX).value_or(0);
+  response.cache_misses =
+      json.GetInt("cache_misses", 0, INT64_MAX).value_or(0);
   return response;
 }
 
 std::string EncodeStatusResponse(const StatusResponse& response) {
   if (!response.ok) return EncodeError(response.error);
-  std::map<std::string, Json> fields;
-  fields.emplace("ok", Json(true));
-  fields.emplace("uptime_seconds", Json(response.uptime_seconds));
+  std::map<std::string, Json> tenants;
+  for (const StatusResponse::Tenant& tenant : response.tenants) {
+    tenants.emplace(tenant.name, Int(tenant.live));
+  }
   // Counters go as 16-hex strings like digests do: a long-lived server's
   // request totals are exactly the kind of uint64 a double-backed JSON
   // reader would silently round.
-  fields.emplace("requests", Json(HexString(response.requests)));
-  fields.emplace("live_requests",
-                 Json(static_cast<int64_t>(response.live_requests)));
-  fields.emplace("accepted", Json(HexString(response.accepted)));
-  fields.emplace("rejected", Json(HexString(response.rejected)));
-  fields.emplace("connections",
-                 Json(static_cast<int64_t>(response.connections)));
-  fields.emplace("executors", Json(static_cast<int64_t>(response.executors)));
-  fields.emplace("max_live", Json(static_cast<int64_t>(response.max_live)));
-  fields.emplace("max_tenant_live",
-                 Json(static_cast<int64_t>(response.max_tenant_live)));
-  std::map<std::string, Json> tenants;
-  for (const StatusResponse::Tenant& tenant : response.tenants) {
-    tenants.emplace(tenant.name, Json(static_cast<int64_t>(tenant.live)));
-  }
-  fields.emplace("tenants", Json::Object(std::move(tenants)));
-  fields.emplace("cache_entries",
-                 Json(static_cast<int64_t>(response.cache_entries)));
-  fields.emplace("cache_hits", Json(HexString(response.cache_hits)));
-  fields.emplace("cache_misses", Json(HexString(response.cache_misses)));
-  fields.emplace("cache_evicted", Json(HexString(response.cache_evicted)));
-  fields.emplace("governor_pressure",
-                 Json(static_cast<int64_t>(response.governor_pressure)));
-  fields.emplace("request_p50_ms", Json(response.request_p50_ms));
-  fields.emplace("request_p95_ms", Json(response.request_p95_ms));
-  fields.emplace("request_p99_ms", Json(response.request_p99_ms));
-  return telemetry::Dump(Json::Object(std::move(fields)));
+  return telemetry::Dump(Json::Object({
+      {"ok", Json(true)},
+      {"uptime_seconds", Json(response.uptime_seconds)},
+      {"requests", Json(support::Hex64(response.requests))},
+      {"live_requests", Int(response.live_requests)},
+      {"accepted", Json(support::Hex64(response.accepted))},
+      {"rejected", Json(support::Hex64(response.rejected))},
+      {"connections", Int(response.connections)},
+      {"executors", Int(response.executors)},
+      {"max_live", Int(response.max_live)},
+      {"max_tenant_live", Int(response.max_tenant_live)},
+      {"tenants", Json::Object(std::move(tenants))},
+      {"cache_entries", Int(response.cache_entries)},
+      {"cache_hits", Json(support::Hex64(response.cache_hits))},
+      {"cache_misses", Json(support::Hex64(response.cache_misses))},
+      {"cache_evicted", Json(support::Hex64(response.cache_evicted))},
+      {"governor_pressure", Json(response.governor_pressure)},
+      {"request_p50_ms", Json(response.request_p50_ms)},
+      {"request_p95_ms", Json(response.request_p95_ms)},
+      {"request_p99_ms", Json(response.request_p99_ms)},
+  }));
 }
 
 std::string EncodeHealthResponse(const HealthResponse& response) {
@@ -432,87 +372,70 @@ std::string EncodeMetricsResponse(const MetricsResponse& response) {
 }
 
 StatusOr<StatusResponse> DecodeStatusResponse(std::string_view payload) {
-  StatusOr<Json> json = ParseResponse(payload);
-  if (!json.ok()) return json.status();
   StatusResponse response;
-  response.ok = BoolField(json.value(), "ok", false);
-  if (!response.ok) {
-    response.error = StringField(json.value(), "error", "unspecified error");
-    return response;
-  }
-  response.uptime_seconds = DoubleField(json.value(), "uptime_seconds", 0);
-  if (const auto v = HexValue(json.value(), "requests")) response.requests = *v;
-  response.live_requests = UintField(json.value(), "live_requests", 0);
-  if (const auto v = HexValue(json.value(), "accepted")) response.accepted = *v;
-  if (const auto v = HexValue(json.value(), "rejected")) response.rejected = *v;
-  response.connections = UintField(json.value(), "connections", 0);
-  response.executors =
-      static_cast<uint32_t>(UintField(json.value(), "executors", 0));
-  response.max_live =
-      static_cast<uint32_t>(UintField(json.value(), "max_live", 0));
-  response.max_tenant_live =
-      static_cast<uint32_t>(UintField(json.value(), "max_tenant_live", 0));
-  const Json* tenants = json.value().Find("tenants");
-  if (tenants != nullptr && tenants->is_object()) {
+  StatusOr<Json> parsed = ParseResponse(payload, response);
+  if (!parsed.ok()) return parsed.status();
+  if (!response.ok) return response;
+  const Json& json = parsed.value();
+  response.uptime_seconds = json.GetDouble("uptime_seconds").value_or(0);
+  response.requests = json.GetHex64("requests").value_or(0);
+  response.live_requests =
+      json.GetInt("live_requests", 0, INT64_MAX).value_or(0);
+  response.accepted = json.GetHex64("accepted").value_or(0);
+  response.rejected = json.GetHex64("rejected").value_or(0);
+  response.connections = json.GetInt("connections", 0, INT64_MAX).value_or(0);
+  response.executors = static_cast<uint32_t>(
+      json.GetInt("executors", 0, UINT32_MAX).value_or(0));
+  response.max_live = static_cast<uint32_t>(
+      json.GetInt("max_live", 0, UINT32_MAX).value_or(0));
+  response.max_tenant_live = static_cast<uint32_t>(
+      json.GetInt("max_tenant_live", 0, UINT32_MAX).value_or(0));
+  if (const Json* tenants = json.Find("tenants");
+      tenants != nullptr && tenants->is_object()) {
     for (const auto& [name, live] : tenants->AsObject()) {
       if (!live.is_number()) continue;
-      StatusResponse::Tenant tenant;
-      tenant.name = name;
-      const int64_t raw = live.AsInt();
-      tenant.live = raw < 0 ? 0 : static_cast<uint32_t>(raw);
-      response.tenants.push_back(std::move(tenant));
+      response.tenants.push_back(
+          {name, static_cast<uint32_t>(
+                     std::clamp<int64_t>(live.AsInt(), 0, UINT32_MAX))});
     }
   }
-  response.cache_entries = UintField(json.value(), "cache_entries", 0);
-  if (const auto v = HexValue(json.value(), "cache_hits")) {
-    response.cache_hits = *v;
-  }
-  if (const auto v = HexValue(json.value(), "cache_misses")) {
-    response.cache_misses = *v;
-  }
-  if (const auto v = HexValue(json.value(), "cache_evicted")) {
-    response.cache_evicted = *v;
-  }
-  const Json* pressure = json.value().Find("governor_pressure");
-  if (pressure != nullptr && pressure->is_number()) {
-    response.governor_pressure = pressure->AsInt();
-  }
-  response.request_p50_ms = DoubleField(json.value(), "request_p50_ms", 0);
-  response.request_p95_ms = DoubleField(json.value(), "request_p95_ms", 0);
-  response.request_p99_ms = DoubleField(json.value(), "request_p99_ms", 0);
+  response.cache_entries =
+      json.GetInt("cache_entries", 0, INT64_MAX).value_or(0);
+  response.cache_hits = json.GetHex64("cache_hits").value_or(0);
+  response.cache_misses = json.GetHex64("cache_misses").value_or(0);
+  response.cache_evicted = json.GetHex64("cache_evicted").value_or(0);
+  response.governor_pressure =
+      json.GetInt("governor_pressure", INT64_MIN, INT64_MAX).value_or(0);
+  response.request_p50_ms = json.GetDouble("request_p50_ms").value_or(0);
+  response.request_p95_ms = json.GetDouble("request_p95_ms").value_or(0);
+  response.request_p99_ms = json.GetDouble("request_p99_ms").value_or(0);
   return response;
 }
 
 StatusOr<HealthResponse> DecodeHealthResponse(std::string_view payload) {
-  StatusOr<Json> json = ParseResponse(payload);
-  if (!json.ok()) return json.status();
   HealthResponse response;
-  response.ok = BoolField(json.value(), "ok", false);
-  if (!response.ok) {
-    response.error = StringField(json.value(), "error", "unspecified error");
-    return response;
-  }
-  response.state = StringField(json.value(), "state", "ok");
-  response.uptime_seconds = DoubleField(json.value(), "uptime_seconds", 0);
+  StatusOr<Json> parsed = ParseResponse(payload, response);
+  if (!parsed.ok()) return parsed.status();
+  if (!response.ok) return response;
+  const Json& json = parsed.value();
+  response.state = json.GetString("state").value_or("ok");
+  response.uptime_seconds = json.GetDouble("uptime_seconds").value_or(0);
   return response;
 }
 
 StatusOr<MetricsResponse> DecodeMetricsResponse(std::string_view payload) {
-  StatusOr<Json> json = ParseResponse(payload);
-  if (!json.ok()) return json.status();
   MetricsResponse response;
-  response.ok = BoolField(json.value(), "ok", false);
-  if (!response.ok) {
-    response.error = StringField(json.value(), "error", "unspecified error");
-    return response;
-  }
-  response.prometheus = StringField(json.value(), "prometheus");
+  StatusOr<Json> parsed = ParseResponse(payload, response);
+  if (!parsed.ok()) return parsed.status();
+  if (!response.ok) return response;
+  const Json& json = parsed.value();
+  response.prometheus = json.GetString("prometheus").value_or("");
   return response;
 }
 
 bool IsOkResponse(std::string_view payload) {
   const std::optional<Json> json = telemetry::ParseJson(payload);
-  return json && json->is_object() && BoolField(*json, "ok", false);
+  return json && json->GetBool("ok").value_or(false);
 }
 
 }  // namespace aqed::service

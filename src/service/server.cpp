@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
@@ -13,18 +12,13 @@
 #include "fault/campaign.h"
 #include "service/registry.h"
 #include "support/failpoint.h"
+#include "support/record.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
 
 namespace aqed::service {
 
 namespace {
-
-std::string TraceIdHex(uint64_t trace_id) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, trace_id);
-  return std::string(buf);
-}
 
 // Wall-clock microseconds since the epoch (slow-log records correlate with
 // external logs, so the steady trace clock is the wrong clock here).
@@ -264,17 +258,17 @@ void AqedServer::AppendSlowLog(uint64_t trace_id, const std::string& tenant,
   if (wall_ms < static_cast<double>(options_.slow_request_ms)) return;
   // Built with the JSON model so tenant and design names arrive escaped.
   using telemetry::Json;
-  std::map<std::string, Json> fields;
-  fields.emplace("ts_us", Json(WallMicros()));
-  fields.emplace("trace_id", Json(TraceIdHex(trace_id)));
-  fields.emplace("tenant", Json(tenant));
-  fields.emplace("designs", Json(designs));
-  fields.emplace("depth", Json(static_cast<int64_t>(depth)));
-  fields.emplace("mutants", Json(static_cast<int64_t>(mutants)));
-  fields.emplace("wall_ms", Json(wall_ms));
-  fields.emplace("verdict", Json(std::string(verdict)));
-  fields.emplace("digest", Json(TraceIdHex(digest)));
-  const std::string line = telemetry::Dump(Json::Object(std::move(fields)));
+  const std::string line = telemetry::Dump(Json::Object({
+      {"ts_us", Json(WallMicros())},
+      {"trace_id", Json(support::Hex64(trace_id))},
+      {"tenant", Json(tenant)},
+      {"designs", Json(designs)},
+      {"depth", Json(int64_t{depth})},
+      {"mutants", Json(int64_t{mutants})},
+      {"wall_ms", Json(wall_ms)},
+      {"verdict", Json(verdict)},
+      {"digest", Json(support::Hex64(digest))},
+  }));
   std::lock_guard<std::mutex> lock(slow_log_mutex_);
   std::fprintf(slow_log_, "%s\n", line.c_str());
   std::fflush(slow_log_);

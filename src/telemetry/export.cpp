@@ -9,6 +9,7 @@
 
 #include "support/failpoint.h"
 #include "support/io.h"
+#include "support/record.h"
 #include "telemetry/json.h"
 
 namespace aqed::telemetry {
@@ -16,25 +17,9 @@ namespace aqed::telemetry {
 namespace {
 
 void WriteJsonString(std::ostream& out, std::string_view text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
+  std::string quoted;
+  AppendJsonString(quoted, text);
+  out << quoted;
 }
 
 // Doubles printed with %.17g survive the round-trip through strtod.
@@ -55,10 +40,7 @@ void WriteEvent(std::ostream& out, const TraceEvent& event) {
     if (event.trace_id != 0) {
       // As a 16-hex string, not a JSON number: ids above 2^53 must survive
       // every double-based JSON reader between here and Perfetto.
-      char hex[20];
-      std::snprintf(hex, sizeof(hex), "%016llx",
-                    static_cast<unsigned long long>(event.trace_id));
-      out << "\"trace_id\":\"" << hex << '"';
+      out << "\"trace_id\":\"" << support::Hex64(event.trace_id) << '"';
       first = false;
     }
     for (uint8_t i = 0; i < event.num_args; ++i) {
@@ -189,41 +171,41 @@ std::optional<MetricsLog> ReadMetricsLog(std::string_view text) {
     if (line.empty()) continue;
 
     const std::optional<Json> json = ParseJson(line);
-    if (!json || !json->is_object()) return std::nullopt;
-    const Json* type = json->Find("type");
-    if (!type || !type->is_string()) return std::nullopt;
+    const std::optional<std::string> type =
+        json ? json->GetString("type") : std::nullopt;
+    if (!type) return std::nullopt;
+    // Integer reads, not doubles: counters and gauges stay exact above
+    // 2^53, where doubles would round.
+    const auto number = [&](const char* key) {
+      return json->GetInt(key, INT64_MIN, INT64_MAX);
+    };
 
-    if (type->AsString() == "snapshot") {
-      const Json* timestamp = json->Find("timestamp_us");
-      if (!timestamp || !timestamp->is_number()) return std::nullopt;
-      snapshot.timestamp_us = static_cast<uint64_t>(timestamp->AsInt());
+    if (*type == "snapshot") {
+      const auto timestamp = number("timestamp_us");
+      if (!timestamp) return std::nullopt;
+      snapshot.timestamp_us = static_cast<uint64_t>(*timestamp);
       saw_header = true;
       continue;
     }
 
-    if (type->AsString() == "sample") {
+    if (*type == "sample") {
       TimeSeriesSample sample;
-      const Json* timestamp = json->Find("timestamp_us");
+      const auto timestamp = number("timestamp_us");
       const Json* counters = json->Find("counters");
       const Json* gauges = json->Find("gauges");
-      if (!timestamp || !timestamp->is_number() || !counters ||
-          !counters->is_object() || !gauges || !gauges->is_object()) {
+      if (!timestamp || !counters || !counters->is_object() || !gauges ||
+          !gauges->is_object()) {
         return std::nullopt;
       }
-      sample.timestamp_us = static_cast<uint64_t>(timestamp->AsInt());
-      const auto read_int = [&](const char* key, int64_t& out_value) {
-        const Json* value = json->Find(key);
-        if (value && value->is_number()) out_value = value->AsInt();
-      };
-      read_int("rss_kb", sample.resources.rss_kb);
-      read_int("peak_rss_kb", sample.resources.peak_rss_kb);
-      read_int("user_cpu_us", sample.resources.user_cpu_us);
-      read_int("sys_cpu_us", sample.resources.sys_cpu_us);
-      read_int("threads", sample.resources.num_threads);
+      sample.timestamp_us = static_cast<uint64_t>(*timestamp);
+      ResourceUsage& resources = sample.resources;
+      resources.rss_kb = number("rss_kb").value_or(0);
+      resources.peak_rss_kb = number("peak_rss_kb").value_or(0);
+      resources.user_cpu_us = number("user_cpu_us").value_or(0);
+      resources.sys_cpu_us = number("sys_cpu_us").value_or(0);
+      resources.num_threads = number("threads").value_or(0);
       for (const auto& [key, value] : counters->AsObject()) {
         if (!value.is_number()) return std::nullopt;
-        // AsInt, not AsNumber: counter values are uint64 and must survive
-        // the round trip exactly even above 2^53.
         sample.counters.push_back(
             {key, static_cast<uint64_t>(value.AsInt())});
       }
@@ -235,28 +217,27 @@ std::optional<MetricsLog> ReadMetricsLog(std::string_view text) {
       continue;
     }
 
-    const Json* name = json->Find("name");
-    if (!name || !name->is_string()) return std::nullopt;
-    if (type->AsString() == "counter") {
-      const Json* value = json->Find("value");
-      if (!value || !value->is_number()) return std::nullopt;
-      snapshot.counters.push_back(
-          {name->AsString(), static_cast<uint64_t>(value->AsInt())});
-    } else if (type->AsString() == "gauge") {
-      const Json* value = json->Find("value");
-      if (!value || !value->is_number()) return std::nullopt;
-      snapshot.gauges.push_back({name->AsString(), value->AsInt()});
-    } else if (type->AsString() == "histogram") {
+    const std::optional<std::string> name = json->GetString("name");
+    if (!name) return std::nullopt;
+    if (*type == "counter" || *type == "gauge") {
+      const auto value = number("value");
+      if (!value) return std::nullopt;
+      if (*type == "counter") {
+        snapshot.counters.push_back({*name, static_cast<uint64_t>(*value)});
+      } else {
+        snapshot.gauges.push_back({*name, *value});
+      }
+    } else if (*type == "histogram") {
       const Json* bounds = json->Find("bounds");
       const Json* counts = json->Find("counts");
-      const Json* count = json->Find("count");
-      const Json* sum = json->Find("sum");
+      const auto count = number("count");
+      const auto sum = json->GetDouble("sum");
       if (!bounds || !bounds->is_array() || !counts || !counts->is_array() ||
-          !count || !count->is_number() || !sum || !sum->is_number()) {
+          !count || !sum) {
         return std::nullopt;
       }
       MetricsSnapshot::HistogramValue value;
-      value.name = name->AsString();
+      value.name = *name;
       for (const Json& bound : bounds->AsArray()) {
         if (!bound.is_number()) return std::nullopt;
         value.bounds.push_back(bound.AsNumber());
@@ -265,15 +246,14 @@ std::optional<MetricsLog> ReadMetricsLog(std::string_view text) {
         if (!bucket.is_number()) return std::nullopt;
         value.counts.push_back(static_cast<uint64_t>(bucket.AsInt()));
       }
-      value.count = static_cast<uint64_t>(count->AsInt());
-      value.sum = sum->AsNumber();
+      value.count = static_cast<uint64_t>(*count);
+      value.sum = *sum;
       // Quantiles: optional for files written before they existed — when
       // absent, derive them from the buckets so every reader sees them.
       const auto quantile = [&](const char* key, double q) {
-        const Json* field = json->Find(key);
-        return field != nullptr && field->is_number()
-                   ? field->AsNumber()
-                   : HistogramQuantile(value.bounds, value.counts, q);
+        const std::optional<double> stored = json->GetDouble(key);
+        return stored ? *stored
+                      : HistogramQuantile(value.bounds, value.counts, q);
       };
       value.p50 = quantile("p50", 0.50);
       value.p95 = quantile("p95", 0.95);
@@ -299,14 +279,16 @@ namespace {
 // mapping is character-wise so it is trivially reversible for our names
 // (none contain '_' before mangling except as '_' already).
 std::string PrometheusName(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
+  // Names may not start with a digit (or be empty): prefix a '_' first.
+  std::string out = name.empty() || (name[0] >= '0' && name[0] <= '9')
+                        ? "_"
+                        : "";
+  out.reserve(out.size() + name.size());
   for (const char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out += ok ? c : '_';
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
   return out;
 }
 

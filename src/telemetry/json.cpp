@@ -2,8 +2,11 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+
+#include "support/record.h"
 
 namespace aqed::telemetry {
 
@@ -21,10 +24,65 @@ Json Json::Object(std::map<std::string, Json> members) {
   return json;
 }
 
+int64_t Json::AsInt() const {
+  if (is_int_) return int_;
+  // Casting a double outside int64 is undefined behaviour: clamp first.
+  if (std::isnan(number_)) return 0;
+  if (number_ <= -0x1p63) return INT64_MIN;
+  if (number_ >= 0x1p63) return INT64_MAX;
+  return static_cast<int64_t>(number_);
+}
+
 const Json* Json::Find(const std::string& key) const {
   if (kind_ != Kind::kObject) return nullptr;
   const auto it = object_.find(key);
   return it == object_.end() ? nullptr : &it->second;
+}
+
+std::optional<std::string> Json::GetString(const std::string& key) const {
+  const Json* value = Find(key);
+  if (value == nullptr || !value->is_string()) return std::nullopt;
+  return value->string_;
+}
+
+std::optional<bool> Json::GetBool(const std::string& key) const {
+  const Json* value = Find(key);
+  if (value == nullptr || value->kind_ != Kind::kBool) return std::nullopt;
+  return value->bool_;
+}
+
+std::optional<double> Json::GetDouble(const std::string& key) const {
+  const Json* value = Find(key);
+  // Finite only: "1e999" parses as infinity, which Dump cannot write back.
+  if (value == nullptr || !value->is_number() ||
+      !std::isfinite(value->number_)) {
+    return std::nullopt;
+  }
+  return value->number_;
+}
+
+std::optional<int64_t> Json::GetInt(const std::string& key, int64_t lo,
+                                    int64_t hi) const {
+  const Json* value = Find(key);
+  if (value == nullptr || !value->is_number()) return std::nullopt;
+  // A non-literal number counts only when it is integral and inside int64
+  // (AsInt would clamp anything else).
+  if (!value->is_int_ &&
+      !(std::trunc(value->number_) == value->number_ &&
+        value->number_ >= -0x1p63 && value->number_ < 0x1p63)) {
+    return std::nullopt;
+  }
+  const int64_t number = value->AsInt();
+  if (number < lo || number > hi) return std::nullopt;
+  return number;
+}
+
+std::optional<uint64_t> Json::GetHex64(const std::string& key) const {
+  const Json* value = Find(key);
+  if (value == nullptr || !value->is_string() || value->string_.size() != 16) {
+    return std::nullopt;
+  }
+  return support::ParseHex(value->string_);
 }
 
 namespace {
@@ -91,21 +149,11 @@ class Parser {
   // Four hex digits after "\u"; false on a short or non-hex sequence.
   bool ParseHex4(uint32_t& out) {
     if (pos_ + 4 > text_.size()) return false;
-    out = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_++];
-      uint32_t digit;
-      if (c >= '0' && c <= '9') {
-        digit = static_cast<uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        digit = static_cast<uint32_t>(c - 'a') + 10;
-      } else if (c >= 'A' && c <= 'F') {
-        digit = static_cast<uint32_t>(c - 'A') + 10;
-      } else {
-        return false;
-      }
-      out = out << 4 | digit;
-    }
+    const std::optional<uint64_t> value =
+        support::ParseHex(text_.substr(pos_, 4));
+    if (!value) return false;
+    pos_ += 4;
+    out = static_cast<uint32_t>(*value);
     return true;
   }
 
@@ -252,9 +300,7 @@ std::optional<Json> ParseJson(std::string_view text) {
   return Parser(text).Parse();
 }
 
-namespace {
-
-void DumpString(const std::string& text, std::string& out) {
+void AppendJsonString(std::string& out, std::string_view text) {
   out += '"';
   for (const char c : text) {
     switch (c) {
@@ -278,6 +324,8 @@ void DumpString(const std::string& text, std::string& out) {
   out += '"';
 }
 
+namespace {
+
 void DumpValue(const Json& value, std::string& out) {
   switch (value.kind()) {
     case Json::Kind::kNull:
@@ -296,7 +344,7 @@ void DumpValue(const Json& value, std::string& out) {
       }
       break;
     case Json::Kind::kString:
-      DumpString(value.AsString(), out);
+      AppendJsonString(out, value.AsString());
       break;
     case Json::Kind::kArray: {
       out += '[';
@@ -315,7 +363,7 @@ void DumpValue(const Json& value, std::string& out) {
       for (const auto& [key, member] : value.AsObject()) {
         if (!first) out += ',';
         first = false;
-        DumpString(key, out);
+        AppendJsonString(out, key);
         out += ':';
         DumpValue(member, out);
       }

@@ -35,6 +35,8 @@ class Json {
         number_(static_cast<double>(value)) {}
   explicit Json(std::string value)
       : kind_(Kind::kString), string_(std::move(value)) {}
+  // Without this a string literal would pick the bool constructor.
+  explicit Json(const char* value) : Json(std::string(value)) {}
 
   static Json Array(std::vector<Json> items);
   static Json Object(std::map<std::string, Json> members);
@@ -51,15 +53,26 @@ class Json {
   // fits int64 — AsInt() is then exact even beyond 2^53.
   bool is_integer() const { return is_int_; }
   double AsNumber() const { return number_; }
-  int64_t AsInt() const {
-    return is_int_ ? int_ : static_cast<int64_t>(number_);
-  }
+  // Exact for integer literals; other numbers truncate toward zero and
+  // saturate at the int64 limits (NaN reads as 0).
+  int64_t AsInt() const;
   const std::string& AsString() const { return string_; }
   const std::vector<Json>& AsArray() const { return array_; }
   const std::map<std::string, Json>& AsObject() const { return object_; }
 
   // Object member lookup; nullptr when absent or not an object.
   const Json* Find(const std::string& key) const;
+
+  // Typed member reads for decoding bytes from outside the process: nullopt
+  // when `key` is absent or holds another type. GetDouble refuses infinite
+  // numbers, GetInt numbers that are not integers in [lo, hi], and GetHex64
+  // anything but exactly 16 hex digits.
+  std::optional<std::string> GetString(const std::string& key) const;
+  std::optional<bool> GetBool(const std::string& key) const;
+  std::optional<double> GetDouble(const std::string& key) const;
+  std::optional<int64_t> GetInt(const std::string& key, int64_t lo,
+                                int64_t hi) const;
+  std::optional<uint64_t> GetHex64(const std::string& key) const;
 
  private:
   Kind kind_ = Kind::kNull;
@@ -82,5 +95,8 @@ std::optional<Json> ParseJson(std::string_view text);
 // with enough digits to round-trip through strtod. Dump ∘ ParseJson is the
 // identity on everything this repo writes.
 std::string Dump(const Json& value);
+
+// Appends `text` as a quoted JSON string, escaped as Dump escapes strings.
+void AppendJsonString(std::string& out, std::string_view text);
 
 }  // namespace aqed::telemetry

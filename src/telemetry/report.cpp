@@ -211,25 +211,19 @@ std::optional<std::vector<ReportSpan>> ParseChromeTrace(
   std::vector<ReportSpan> spans;
   for (const Json& event : events->AsArray()) {
     if (!event.is_object()) return std::nullopt;
-    const Json* ph = event.Find("ph");
-    if (ph == nullptr || !ph->is_string() || ph->AsString() != "X") {
+    if (event.GetString("ph") != "X") {
       continue;  // metadata and non-complete events carry no duration
     }
+    const std::optional<std::string> name = event.GetString("name");
+    const std::optional<int64_t> ts = event.GetInt("ts", 0, INT64_MAX);
+    const std::optional<int64_t> dur = event.GetInt("dur", 0, INT64_MAX);
+    if (!name || !ts || !dur) return std::nullopt;
     ReportSpan span;
-    const Json* name = event.Find("name");
-    const Json* ts = event.Find("ts");
-    const Json* dur = event.Find("dur");
-    const Json* tid = event.Find("tid");
-    if (name == nullptr || !name->is_string() || ts == nullptr ||
-        !ts->is_number() || dur == nullptr || !dur->is_number()) {
-      return std::nullopt;
-    }
-    span.name = name->AsString();
-    span.begin_us = static_cast<uint64_t>(ts->AsNumber());
-    span.dur_us = static_cast<uint64_t>(dur->AsNumber());
-    if (tid != nullptr && tid->is_number()) {
-      span.tid = static_cast<uint32_t>(tid->AsInt());
-    }
+    span.name = *name;
+    span.begin_us = static_cast<uint64_t>(*ts);
+    span.dur_us = static_cast<uint64_t>(*dur);
+    span.tid = static_cast<uint32_t>(
+        event.GetInt("tid", 0, UINT32_MAX).value_or(0));
     if (const Json* args = event.Find("args"); args && args->is_object()) {
       for (const auto& [key, value] : args->AsObject()) {
         if (value.is_number()) span.args.emplace(key, value.AsInt());

@@ -23,6 +23,7 @@
 #include "sched/session.h"
 #include "support/failpoint.h"
 #include "support/io.h"
+#include "support/record.h"
 #include "telemetry/export.h"
 #include "telemetry/resource.h"
 
@@ -92,8 +93,8 @@ TEST(DurableIoTest, ReadFileToStringReportsMissingFile) {
 
 TEST(JournalTest, Crc32MatchesKnownVector) {
   // The IEEE 802.3 check value for the ASCII digits "123456789".
-  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(support::Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(support::Crc32(""), 0u);
 }
 
 TEST(JournalTest, RecordRoundTripsAllFields) {
@@ -133,6 +134,88 @@ TEST(JournalTest, CorruptedPayloadFailsCrc) {
           .has_value());
   // The pristine line still decodes.
   EXPECT_TRUE(DecodeJournalRecord(line).has_value());
+}
+
+// SampleReport with provenance, exactly as the previous release's
+// EncodeJournalRecord wrote it (its own key order; the current encoder sorts
+// the keys, and old files must still replay).
+constexpr std::string_view kParentJournalLine =
+    R"({"crc":"cfe1911d","data":{"design":"memctrl-\"fifo\"\n",)"
+    R"("op":"op-swap","node":42,"seed":43501,)"
+    R"("classification":"detected-by-RB","kind":"RB","cex_cycles":9,)"
+    R"("attempts":3,"trace_id":"00c0ffee12345678","unknown_reason":"none",)"
+    R"("wall_seconds":0.125,"golden_ran":true,"golden_detected":true,)"
+    R"("golden_cycles":77,"golden_seconds":2.5}})";
+
+TEST(JournalTest, RecordsWrittenByThePreviousFormatStillDecode) {
+  const auto decoded = DecodeJournalRecord(kParentJournalLine);
+  ASSERT_TRUE(decoded.has_value());
+  const MutantReport expected = SampleReport();
+  EXPECT_EQ(decoded->design, expected.design);
+  EXPECT_TRUE(decoded->key == expected.key);
+  EXPECT_EQ(decoded->classification, expected.classification);
+  EXPECT_EQ(decoded->kind, expected.kind);
+  EXPECT_EQ(decoded->cex_cycles, expected.cex_cycles);
+  EXPECT_EQ(decoded->attempts, expected.attempts);
+  EXPECT_EQ(decoded->trace_id, 0x00c0ffee12345678u);
+  EXPECT_EQ(decoded->unknown_reason, expected.unknown_reason);
+  EXPECT_EQ(decoded->wall_seconds, expected.wall_seconds);
+  EXPECT_EQ(decoded->golden_ran, expected.golden_ran);
+  EXPECT_EQ(decoded->golden_detected, expected.golden_detected);
+  EXPECT_EQ(decoded->golden_cycles, expected.golden_cycles);
+  EXPECT_EQ(decoded->golden_seconds, expected.golden_seconds);
+
+  // A journal the previous release started and this one resumes: both
+  // records replay, nothing is skipped or truncated.
+  TempPath path("parent");
+  MutantReport next = SampleReport();
+  next.key.node = 7;
+  const std::string contents =
+      std::string(kParentJournalLine) + "\n" + EncodeJournalRecord(next);
+  ASSERT_TRUE(support::WriteFileDurable(path.str(), contents).ok());
+  const auto replay = ReplayJournal(path.str());
+  ASSERT_TRUE(replay.ok());
+  ASSERT_EQ(replay.value().records.size(), 2u);
+  EXPECT_EQ(replay.value().skipped_records, 0u);
+  EXPECT_EQ(replay.value().valid_bytes, contents.size());
+  EXPECT_EQ(replay.value().records[0].trace_id, 0x00c0ffee12345678u);
+  EXPECT_EQ(replay.value().records[1].key.node, 7u);
+}
+
+TEST(JournalTest, Uint64FieldsRoundTripAboveInt64) {
+  MutantReport report = SampleReport();
+  report.key.seed = 0xFFFF'FFFF'FFFF'FFF7ull;
+  report.golden_cycles = UINT64_MAX;
+  std::string line = EncodeJournalRecord(report);
+  line.pop_back();
+  const auto decoded = DecodeJournalRecord(line);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->key.seed, report.key.seed);
+  EXPECT_EQ(decoded->golden_cycles, UINT64_MAX);
+}
+
+TEST(JournalTest, OutOfRangeFieldsAreRejectedNotTruncated) {
+  std::string line = EncodeJournalRecord(SampleReport());
+  line.pop_back();
+  const std::string payload(*support::OpenRecord(line));
+  // Each edit is re-sealed, so only the field check can refuse it.
+  for (const auto& [from, to] :
+       {std::pair{"\"node\":42", "\"node\":4294967338"},
+        {"\"node\":42", "\"node\":-42"},
+        {"\"cex_cycles\":9", "\"cex_cycles\":4294967305"},
+        {"\"attempts\":3", "\"attempts\":1e300"},
+        {"\"seed\":43501", "\"seed\":1e300"},
+        {"\"seed\":43501", "\"seed\":435.01"},
+        {"\"golden_cycles\":77", "\"golden_cycles\":18446744073709551616"},
+        {"\"golden_ran\":true", "\"golden_ran\":1"}}) {
+    std::string edited = payload;
+    const size_t at = edited.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    edited.replace(at, std::string_view(from).size(), to);
+    std::string sealed = support::SealRecord(edited);
+    sealed.pop_back();
+    EXPECT_FALSE(DecodeJournalRecord(sealed).has_value()) << to;
+  }
 }
 
 // --- replay ------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include "service/server.h"
 #include "support/failpoint.h"
 #include "support/io.h"
+#include "support/record.h"
 #include "telemetry/export.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
@@ -300,9 +301,9 @@ TEST(JournalTraceTest, RecordsRoundTripTheTraceId) {
 // Rebuilds a journal line around a doctored payload (the CRC covers the
 // payload bytes, so edits must re-seal it).
 std::string SealJournalLine(const std::string& payload) {
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", fault::Crc32(payload));
-  return "{\"crc\":\"" + std::string(crc) + "\",\"data\":" + payload + "}";
+  std::string line = support::SealRecord(payload);
+  line.pop_back();  // DecodeJournalRecord takes the line sans newline
+  return line;
 }
 
 TEST(JournalTraceTest, PreTraceRecordsAndMalformedIdsDecodeAsUntraced) {

@@ -25,6 +25,8 @@
 #include "service/server.h"
 #include "support/failpoint.h"
 #include "support/io.h"
+#include "support/record.h"
+#include "telemetry/json.h"
 
 namespace aqed::service {
 namespace {
@@ -147,6 +149,39 @@ TEST(ConfigDigestTest, DepthIsNotPartOfTheConfigDigest) {
   shallow.bmc.max_bound = 8;
   deep.bmc.max_bound = 64;
   EXPECT_EQ(ConfigDigest(shallow), ConfigDigest(deep));
+}
+
+// Persisted cache files and cross-process cache sharing depend on the exact
+// digest bytes: any change to the hash mixing must show up here first.
+TEST(ConfigDigestTest, DigestsArePinnedToRecordedValues) {
+  core::AqedOptions options;
+  options.fc.label = "fc";
+  options.rb.emplace();
+  options.rb->tau = 9;
+  options.rb->label = "rb";
+  options.fc_bound = 12;
+  options.bmc.conflict_budget = 5000;
+  options.bmc.bad_filter = {0, 2};
+  EXPECT_EQ(ConfigDigest(core::AqedOptions{}), 0xef2228d11be8e6ceull);
+  EXPECT_EQ(ConfigDigest(options), 0x53527c9739571521ull);
+
+  CacheKey key;
+  key.design_digest = 0xD16E57D16E57D16Eull;
+  key.config_digest = 0xC0F1C0F1C0F1C0F1ull;
+  key.mutant_key = "op-swap@n42#seed=0xa9ed";
+  key.depth = 16;
+  EXPECT_EQ(key.ToString(),
+            "d=d16e57d16e57d16e c=c0f1c0f1c0f1c0f1 m=op-swap@n42#seed=0xa9ed "
+            "b=16");
+  EXPECT_EQ(CacheKeyHash()(key), 0x7e62addeb59accf0ull);
+
+  const std::vector<fault::DesignUnderTest> catalog = BuiltinDesigns();
+  const fault::DesignUnderTest* alu = FindDesign(catalog, "alu");
+  ASSERT_NE(alu, nullptr);
+  ir::TransitionSystem ts;
+  alu->build(ts);
+  EXPECT_EQ(ir::StructuralDigest(ts), 0x32e0a5b4995b609cull);
+  EXPECT_EQ(ir::AnonymousStructuralDigest(ts), 0x3fe04f82091ece56ull);
 }
 
 // --- catalog selection -------------------------------------------------------
@@ -277,6 +312,89 @@ TEST(SolveCacheTest, PoisonedLineIsDroppedNotTrusted) {
       (restored.Lookup(TestKey(16, "m@n1#s1")).has_value() ? 1 : 0) +
       (restored.Lookup(TestKey(16, "m@n2#s1")).has_value() ? 1 : 0);
   EXPECT_EQ(live, 1);
+  std::remove(path.c_str());
+}
+
+// Two entries exactly as the previous release's SolveCache::Save wrote them
+// (Dump sorts the keys; the second entry carries provenance).
+constexpr std::string_view kParentCacheFile =
+    R"({"crc":"8b920c99","data":{"attempts":1,"cex_cycles":0,)"
+    R"("classification":"survived","config":"c0f1c0f1c0f1c0f1","depth":12,)"
+    R"("design":"d16e57d16e57d16e","kind":"none",)"
+    R"("mutant":"const@n7#seed=0xa9ed"}})"
+    "\n"
+    R"({"crc":"7d022f0e","data":{"attempts":2,"cex_cycles":5,)"
+    R"("classification":"detected-by-FC","config":"c0f1c0f1c0f1c0f1",)"
+    R"("depth":16,"design":"d16e57d16e57d16e","kind":"FC",)"
+    R"("mutant":"op-swap@n42#seed=0xa9ed","trace_id":"00c0ffee12345678"}})"
+    "\n";
+
+TEST(SolveCacheTest, FilesWrittenByThePreviousFormatStillHit) {
+  const std::string path =
+      "/tmp/aqed_cache_parent_" + std::to_string(::getpid()) + ".jsonl";
+  ASSERT_TRUE(support::WriteFileDurable(path, kParentCacheFile).ok());
+  SolveCache cache;
+  ASSERT_TRUE(cache.Load(path).ok());
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.poisoned(), 0u);
+
+  const auto survived = cache.Lookup(TestKey(12, "const@n7#seed=0xa9ed"));
+  ASSERT_TRUE(survived.has_value());
+  EXPECT_EQ(survived->classification, fault::Classification::kSurvived);
+  EXPECT_EQ(survived->kind, core::BugKind::kNone);
+  EXPECT_EQ(survived->cex_cycles, 0u);
+  EXPECT_EQ(survived->attempts, 1u);
+  EXPECT_EQ(survived->trace_id, 0u);
+  const auto detected = cache.Lookup(TestKey(16, "op-swap@n42#seed=0xa9ed"));
+  ASSERT_TRUE(detected.has_value());
+  EXPECT_EQ(detected->classification, fault::Classification::kDetectedFc);
+  EXPECT_EQ(detected->kind, core::BugKind::kFunctionalConsistency);
+  EXPECT_EQ(detected->cex_cycles, 5u);
+  EXPECT_EQ(detected->attempts, 2u);
+  EXPECT_EQ(detected->trace_id, 0x00c0ffee12345678u);
+  EXPECT_EQ(cache.hits(), 2u);
+
+  // Saving writes the same bytes back: the line format did not move.
+  SolveCache one;
+  one.Store(TestKey(16, "op-swap@n42#seed=0xa9ed"), *detected);
+  ASSERT_TRUE(one.Save(path).ok());
+  const StatusOr<std::string> saved = support::ReadFileToString(path);
+  ASSERT_TRUE(saved.ok());
+  EXPECT_EQ(saved.value(), kParentCacheFile.substr(kParentCacheFile.find(
+                               "{\"crc\":\"7d022f0e\"")));
+  std::remove(path.c_str());
+}
+
+TEST(SolveCacheTest, OutOfRangeCountsPoisonTheLineInsteadOfWrapping) {
+  const std::string path =
+      "/tmp/aqed_cache_range_" + std::to_string(::getpid()) + ".jsonl";
+  const std::string valid =
+      R"({"attempts":2,"cex_cycles":5,"classification":"detected-by-FC",)"
+      R"("config":"c0f1c0f1c0f1c0f1","depth":16,"design":"d16e57d16e57d16e",)"
+      R"("kind":"FC","mutant":"m@n1#s1"})";
+  std::string contents = support::SealRecord(valid);
+  // Correctly sealed lines whose uint32 fields do not fit: 2^32 + 16 must
+  // not come back as depth 16, nor 1e300 as anything at all.
+  for (const auto& [from, to] :
+       {std::pair{"\"depth\":16", "\"depth\":4294967312"},
+        {"\"depth\":16", "\"depth\":1e300"},
+        {"\"depth\":16", "\"depth\":-16"},
+        {"\"cex_cycles\":5", "\"cex_cycles\":4294967301"},
+        {"\"attempts\":2", "\"attempts\":4294967298"},
+        {"\"attempts\":2", "\"attempts\":2.5"}}) {
+    std::string payload = valid;
+    payload.replace(payload.find(from), std::string_view(from).size(), to);
+    contents += support::SealRecord(payload);
+  }
+  ASSERT_TRUE(support::WriteFileDurable(path, contents).ok());
+  SolveCache cache;
+  ASSERT_TRUE(cache.Load(path).ok());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.poisoned(), 6u);
+  const auto hit = cache.Lookup(TestKey(16, "m@n1#s1"));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->cex_cycles, 5u);
+  EXPECT_EQ(hit->attempts, 2u);
   std::remove(path.c_str());
 }
 
@@ -480,6 +598,33 @@ TEST(ProtocolTest, CampaignRequestRoundTrips) {
   EXPECT_EQ(r.deadline_ms, 1500u);
   EXPECT_EQ(r.memory_budget_mb, 256u);
   EXPECT_EQ(r.retries, 2u);
+}
+
+TEST(ProtocolTest, CampaignRequestRejectsCountsOutsideUint32) {
+  for (const char* field :
+       {"mutants", "jobs", "deadline_ms", "memory_budget_mb", "retries"}) {
+    // 2^32 + 1 used to decode as 1; 1e300 used to be a UB cast.
+    for (const char* value :
+         {"4294967296", "4294967297", "1e300", "-1", "1.5", "\"7\""}) {
+      const std::string text = std::string(R"({"type":"campaign",)") + "\"" +
+                               field + "\":" + value + "}";
+      const auto json = telemetry::ParseJson(text);
+      ASSERT_TRUE(json.has_value()) << text;
+      const StatusOr<CampaignRequest> decoded = DecodeCampaignRequest(*json);
+      ASSERT_FALSE(decoded.ok()) << text;
+      EXPECT_NE(decoded.status().message().find(field), std::string::npos)
+          << decoded.status().message();
+    }
+  }
+  // The uint32 bounds themselves decode; absent fields keep their defaults.
+  const auto json = telemetry::ParseJson(
+      R"({"type":"campaign","mutants":4294967295,"retries":0})");
+  ASSERT_TRUE(json.has_value());
+  const StatusOr<CampaignRequest> decoded = DecodeCampaignRequest(*json);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(decoded.value().num_mutants, UINT32_MAX);
+  EXPECT_EQ(decoded.value().retries, 0u);
+  EXPECT_EQ(decoded.value().jobs, CampaignRequest{}.jobs);
 }
 
 TEST(ProtocolTest, CampaignResponseRoundTripsA64BitDigest) {

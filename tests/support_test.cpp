@@ -2,10 +2,15 @@
 // accumulators, status types.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "support/bits.h"
+#include "support/record.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/status.h"
@@ -168,6 +173,87 @@ TEST(VerdictTest, EveryCancelReasonRoundTripsExactly) {
   }
   EXPECT_EQ(names.size(), std::size(kAllCancelReasons));
   EXPECT_FALSE(CancelReasonFromString("first bug wins").has_value());
+}
+
+// --- record codec ------------------------------------------------------------
+
+TEST(RecordTest, HashesMatchPublishedVectors) {
+  // IEEE 802.3 check value; FNV-1a 64 reference vector for "a" from the
+  // published offset basis.
+  EXPECT_EQ(support::Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(support::MixBytes(14695981039346656037ull, "a"),
+            0xaf63dc4c8601ec8cull);
+  // The digests start from the project's own offset instead (see record.h).
+  EXPECT_EQ(support::MixBytes(support::kFnvOffset, "a"),
+            0x44bd8ad473cd9906ull);
+  EXPECT_EQ(support::MixBytes(support::kFnvOffset, ""), support::kFnvOffset);
+  // MixText is the bytes followed by the 8-byte length.
+  EXPECT_EQ(support::MixText(support::kFnvOffset, "ab"),
+            support::MixInt(support::MixBytes(support::kFnvOffset, "ab"), 2));
+  EXPECT_NE(support::MixText(support::MixText(support::kFnvOffset, "ab"), "c"),
+            support::MixText(support::MixText(support::kFnvOffset, "a"), "bc"));
+}
+
+TEST(RecordTest, HexRoundTripsAndRejectsNonHex) {
+  EXPECT_EQ(support::Hex64(0), "0000000000000000");
+  EXPECT_EQ(support::Hex64(0xFEEDFACECAFEF00Dull), "feedfacecafef00d");
+  EXPECT_EQ(support::ParseHex("feedfacecafef00d"), 0xFEEDFACECAFEF00Dull);
+  EXPECT_EQ(support::ParseHex("FEEDFACECAFEF00D"), 0xFEEDFACECAFEF00Dull);
+  EXPECT_EQ(support::ParseHex("7"), 7u);
+  EXPECT_EQ(support::ParseHex(""), std::nullopt);
+  EXPECT_EQ(support::ParseHex("10000000000000000"), std::nullopt);  // 17
+  EXPECT_EQ(support::ParseHex("+1"), std::nullopt);
+  EXPECT_EQ(support::ParseHex(" 1"), std::nullopt);
+  EXPECT_EQ(support::ParseHex("0x1"), std::nullopt);
+}
+
+TEST(RecordTest, SealedLinesOpenAndDamagedOnesDoNot) {
+  const std::string line = support::SealRecord("{\"k\":1}");
+  EXPECT_EQ(line, "{\"crc\":\"" +
+                      support::Hex64(support::Crc32("{\"k\":1}")).substr(8) +
+                      "\",\"data\":{\"k\":1}}\n");
+  const std::string_view body(line.data(), line.size() - 1);
+  EXPECT_EQ(support::OpenRecord(body), "{\"k\":1}");
+  EXPECT_EQ(support::OpenRecord(line), std::nullopt);  // newline included
+  for (size_t cut = 0; cut < body.size(); ++cut) {
+    EXPECT_EQ(support::OpenRecord(body.substr(0, cut)), std::nullopt) << cut;
+  }
+  std::string flipped(body);
+  flipped[flipped.size() - 3] = '2';  // the payload's digit
+  EXPECT_EQ(support::OpenRecord(flipped), std::nullopt);
+  std::string upper(body);
+  for (size_t i = 8; i < 16; ++i) {
+    upper[i] = static_cast<char>(std::toupper(upper[i]));
+  }
+  EXPECT_EQ(support::OpenRecord(upper), "{\"k\":1}");
+}
+
+TEST(RecordTest, ScanCountsSkippedLinesAndTornTail) {
+  const auto decode = [](std::string_view payload) -> std::optional<int> {
+    if (payload == "{\"bad\":0}") return std::nullopt;
+    return static_cast<int>(payload.size());
+  };
+  const std::string good = support::SealRecord("{\"k\":1}");
+  const std::string undecodable = support::SealRecord("{\"bad\":0}");
+  std::string corrupt = good;
+  corrupt[corrupt.size() - 3] = '2';
+  std::string text = good + "\n" + corrupt + undecodable + good;
+  auto scan = support::ScanRecords(text, decode);
+  EXPECT_EQ(scan.records, (std::vector<int>{7, 7}));
+  EXPECT_EQ(scan.skipped_records, 2u);
+  EXPECT_FALSE(scan.torn_tail);
+  EXPECT_EQ(scan.valid_bytes, text.size());
+
+  // A torn final append is flagged, not counted, and valid_bytes stops
+  // before it. An unterminated line that still opens is kept.
+  scan = support::ScanRecords(text + good.substr(0, 10), decode);
+  EXPECT_EQ(scan.records.size(), 2u);
+  EXPECT_TRUE(scan.torn_tail);
+  EXPECT_EQ(scan.valid_bytes, text.size());
+  scan = support::ScanRecords(text + good.substr(0, good.size() - 1), decode);
+  EXPECT_EQ(scan.records.size(), 3u);
+  EXPECT_FALSE(scan.torn_tail);
+  EXPECT_EQ(scan.valid_bytes, text.size() + good.size() - 1);
 }
 
 }  // namespace

@@ -404,6 +404,77 @@ TEST(JsonTest, IntegerLiteralsKeepInt64Precision) {
   EXPECT_GT(json->AsNumber(), 9e24);
 }
 
+TEST(JsonTest, AsIntSaturatesNumbersOutsideInt64) {
+  // Casting these doubles to int64 would be undefined behaviour.
+  auto json = ParseJson("{\"depth\":1e300}");
+  ASSERT_TRUE(json.has_value());
+  EXPECT_EQ(json->Find("depth")->AsInt(), INT64_MAX);
+  json = ParseJson("-1e300");
+  ASSERT_TRUE(json.has_value());
+  EXPECT_EQ(json->AsInt(), INT64_MIN);
+  json = ParseJson("1e999");  // strtod overflows to infinity
+  ASSERT_TRUE(json.has_value());
+  EXPECT_EQ(json->AsInt(), INT64_MAX);
+  json = ParseJson("18446744073709551615");  // UINT64_MAX, past int64
+  ASSERT_TRUE(json.has_value());
+  EXPECT_EQ(json->AsInt(), INT64_MAX);
+  json = ParseJson("-2.75");
+  ASSERT_TRUE(json.has_value());
+  EXPECT_EQ(json->AsInt(), -2);  // in range: truncates toward zero
+}
+
+TEST(JsonTest, TypedReadsCheckTypeAndRange) {
+  const auto json = ParseJson(
+      R"({"s":"text","b":true,"d":2.5,"i":42,"neg":-7,"big":4294967297,)"
+      R"("huge":1e300,"frac":1.5,"whole":3.0,"hex":"00c0ffee12345678",)"
+      R"("HEX":"00C0FFEE12345678","short":"c0ffee","bad":"00c0ffee1234567g"})");
+  ASSERT_TRUE(json.has_value());
+  EXPECT_EQ(json->GetString("s"), "text");
+  EXPECT_EQ(json->GetString("i"), std::nullopt);  // wrong type
+  EXPECT_EQ(json->GetString("absent"), std::nullopt);
+  EXPECT_EQ(json->GetBool("b"), true);
+  EXPECT_EQ(json->GetBool("i"), std::nullopt);
+  EXPECT_EQ(json->GetDouble("d"), 2.5);
+  EXPECT_EQ(json->GetDouble("i"), 42.0);  // integers are numbers too
+  EXPECT_EQ(json->GetDouble("s"), std::nullopt);
+  EXPECT_EQ(ParseJson(R"({"inf":1e999})")->GetDouble("inf"), std::nullopt);
+
+  EXPECT_EQ(json->GetInt("i", 0, 100), 42);
+  EXPECT_EQ(json->GetInt("i", 0, 41), std::nullopt);  // above hi
+  EXPECT_EQ(json->GetInt("neg", 0, 100), std::nullopt);  // below lo
+  EXPECT_EQ(json->GetInt("neg", -10, 0), -7);
+  EXPECT_EQ(json->GetInt("big", 0, UINT32_MAX), std::nullopt);  // no wrap
+  EXPECT_EQ(json->GetInt("big", 0, INT64_MAX), INT64_C(4294967297));
+  EXPECT_EQ(json->GetInt("huge", INT64_MIN, INT64_MAX), std::nullopt);
+  EXPECT_EQ(json->GetInt("frac", INT64_MIN, INT64_MAX), std::nullopt);
+  EXPECT_EQ(json->GetInt("whole", 0, 10), 3);
+  EXPECT_EQ(json->GetInt("s", INT64_MIN, INT64_MAX), std::nullopt);
+
+  EXPECT_EQ(json->GetHex64("hex"), UINT64_C(0x00c0ffee12345678));
+  EXPECT_EQ(json->GetHex64("HEX"), UINT64_C(0x00c0ffee12345678));
+  EXPECT_EQ(json->GetHex64("short"), std::nullopt);  // not 16 digits
+  EXPECT_EQ(json->GetHex64("bad"), std::nullopt);
+  EXPECT_EQ(json->GetHex64("i"), std::nullopt);
+
+  // A non-object has no members.
+  EXPECT_EQ(ParseJson("[1]")->GetInt("0", 0, 10), std::nullopt);
+}
+
+TEST(JsonTest, StringLiteralsConstructStringsNotBools) {
+  EXPECT_TRUE(Json("ping").is_string());
+  EXPECT_EQ(Dump(Json::Object({{"type", Json("ping")}})),
+            "{\"type\":\"ping\"}");
+}
+
+TEST(JsonTest, AppendJsonStringEscapesLikeDump) {
+  const std::string text = std::string("q\"b\\n\n\x01\b\f\t", 10);
+  std::string out;
+  AppendJsonString(out, text);
+  EXPECT_EQ(out, "\"q\\\"b\\\\n\\n\\u0001\\b\\f\\t\"");
+  EXPECT_EQ(out, Dump(Json(text)));
+  EXPECT_EQ(ParseJson(out)->AsString(), text);
+}
+
 TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("{").has_value());
   EXPECT_FALSE(ParseJson("[1,]").has_value());
