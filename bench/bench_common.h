@@ -2,6 +2,9 @@
 // tables and figures.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -28,7 +31,7 @@ namespace aqed::bench {
 // exits 0.
 class FlagParser {
  public:
-  FlagParser(int argc, char** argv) {
+  FlagParser(int argc, char** argv) : program_(argc > 0 ? argv[0] : "") {
     for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
     used_.assign(args_.size(), 0);
   }
@@ -64,18 +67,17 @@ class FlagParser {
   // overrides the bench default" logic).
   bool Seen(std::string_view name) const { return Value(name) != nullptr; }
 
-  // Numeric accessors accept decimal, 0x-hex, and octal (strtoul base 0).
+  // Numeric accessors accept decimal, 0x-hex, and octal (strtoull base 0).
+  // An empty value, a sign, trailing garbage or a value out of range exits
+  // with status 2, like an unknown flag in RejectUnknown().
   uint32_t Uint32(std::string_view name, uint32_t fallback,
                   const char* help = nullptr) const {
-    const std::string* v = Value(name, help);
-    return v ? static_cast<uint32_t>(std::strtoul(v->c_str(), nullptr, 0))
-             : fallback;
+    return static_cast<uint32_t>(Unsigned(name, fallback, UINT32_MAX, help));
   }
 
   uint64_t Uint64(std::string_view name, uint64_t fallback,
                   const char* help = nullptr) const {
-    const std::string* v = Value(name, help);
-    return v ? std::strtoull(v->c_str(), nullptr, 0) : fallback;
+    return Unsigned(name, fallback, UINT64_MAX, help);
   }
 
   std::string String(std::string_view name, std::string fallback = {},
@@ -129,6 +131,23 @@ class FlagParser {
   }
 
  private:
+  uint64_t Unsigned(std::string_view name, uint64_t fallback, uint64_t max,
+                    const char* help) const {
+    const std::string* v = Value(name, help);
+    if (v == nullptr) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long parsed = std::strtoull(v->c_str(), &end, 0);
+    if (v->empty() || !std::isdigit(static_cast<unsigned char>((*v)[0])) ||
+        *end != '\0' || errno == ERANGE || parsed > max) {
+      std::fprintf(stderr, "%s: invalid value '%s' for %.*s\n",
+                   program_.c_str(), v->c_str(), static_cast<int>(name.size()),
+                   name.data());
+      std::exit(2);
+    }
+    return parsed;
+  }
+
   struct Flag {
     std::string name;
     bool takes_value;
@@ -148,6 +167,7 @@ class FlagParser {
     flags_.push_back(Flag{std::string(name), takes_value, help});
   }
 
+  std::string program_;
   std::vector<std::string> args_;
   mutable std::vector<char> used_;  // parallel to args_: matched by a probe
   mutable std::vector<Flag> flags_;  // registered by probes, for --help

@@ -374,8 +374,8 @@ UnknownReason SessionResult::unknown_reason(size_t entry) const {
   if (bug_found(entry)) return UnknownReason::kNone;
   for (const JobResult& job : jobs) {
     if (job.entry == entry &&
-        job.result.bmc.outcome == bmc::BmcResult::Outcome::kUnknown) {
-      return job.unknown_reason;
+        job.result.bmc.unknown_reason != UnknownReason::kNone) {
+      return job.result.bmc.unknown_reason;
     }
   }
   return UnknownReason::kNone;
@@ -386,7 +386,8 @@ size_t SessionResult::num_unknown() const {
   for (const JobResult& job : jobs) {
     // Jobs cancelled because a sibling already found the entry's bug are
     // decided, not unknown — first-bug-wins is the intended outcome there.
-    if (job.result.bmc.outcome == bmc::BmcResult::Outcome::kUnknown &&
+    if ((job.checker_error ||
+         job.result.bmc.outcome == bmc::BmcResult::Outcome::kUnknown) &&
         !bug_found(job.entry)) {
       ++unknown;
     }

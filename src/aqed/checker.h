@@ -300,13 +300,10 @@ struct JobResult {
   bool cancelled = false;  // stopped (or never started) by first-bug-wins
   // Hard failure: the job found a counterexample whose simulator replay
   // failed (BmcResult::trace_validated == false with validation enabled).
-  // That is a checker bug, never a design verdict — the bug_found flag is
-  // suppressed and the job is counted in SessionStats::num_checker_errors().
+  // That is a checker bug, never a design verdict: the bug_found flag is
+  // suppressed, the job counts in SessionStats::num_checker_errors() and
+  // num_unknown(), and fault::ClassifyEntry folds its entry to kUnknown.
   bool checker_error = false;
-  // Why the job's verdict is unknown (kNone for a bug / clean verdict):
-  // distinguishes a deadline expiry from budget exhaustion from sibling
-  // cancellation — the reason code behind BmcResult::Outcome::kUnknown.
-  UnknownReason unknown_reason = UnknownReason::kNone;
   // Attempt index of the run this result reflects (0 = first; > 0 means
   // the session's retry policy re-ran the job with escalated budgets).
   uint32_t attempt = 0;
@@ -340,7 +337,8 @@ struct SessionResult {
   // kNone when the entry found a bug or every job completed; otherwise the
   // reason code of the entry's first inconclusive job.
   UnknownReason unknown_reason(size_t entry = 0) const;
-  // Jobs whose verdict is still unknown after retries (0 = fully decided).
+  // Jobs whose verdict is still undecided after retries — inconclusive or a
+  // checker error — in entries that found no bug (0 = fully decided).
   size_t num_unknown() const;
   // The reported run's AqedResult / instrumented transition system.
   const AqedResult& aqed(size_t entry = 0) const;
@@ -355,24 +353,12 @@ struct SessionResult {
   // Handle-taking overloads: the preferred accessors when the Enqueue()
   // handle is in hand (benches, tests, campaigns iterate their handles
   // instead of re-deriving entry indices).
-  const JobResult* FirstBug(const JobHandle& h) const {
-    return FirstBug(h.index());
-  }
-  const JobResult& Reported(const JobHandle& h) const {
-    return Reported(h.index());
-  }
   bool bug_found(const JobHandle& h) const { return bug_found(h.index()); }
   BugKind kind(const JobHandle& h) const { return kind(h.index()); }
   uint32_t cex_cycles(const JobHandle& h) const {
     return cex_cycles(h.index());
   }
-  UnknownReason unknown_reason(const JobHandle& h) const {
-    return unknown_reason(h.index());
-  }
   const AqedResult& aqed(const JobHandle& h) const { return aqed(h.index()); }
-  const ir::TransitionSystem& ts(const JobHandle& h) const {
-    return ts(h.index());
-  }
   double solver_seconds(const JobHandle& h) const {
     return solver_seconds(h.index());
   }

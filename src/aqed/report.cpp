@@ -17,6 +17,9 @@ std::string SummarizeResult(const AqedResult& result) {
                   "PASS up to bound %u (%.3f s, %llu conflicts)",
                   result.bmc.frames_explored, result.bmc.seconds,
                   static_cast<unsigned long long>(result.bmc.conflicts));
+  } else if (result.bmc.found_bug()) {
+    // The session demoted a counterexample that failed simulator replay.
+    return "CHECKER ERROR (counterexample failed simulator replay)";
   } else {
     std::snprintf(buf, sizeof(buf), "UNKNOWN (budget exhausted at frame %u)",
                   result.bmc.frames_explored);

@@ -7,6 +7,7 @@
 #include "sat/cube.h"
 #include "sched/memory_governor.h"
 #include "sched/thread_pool.h"
+#include "support/failpoint.h"
 #include "support/stats.h"
 #include "support/status.h"
 #include "telemetry/metrics.h"
@@ -225,9 +226,10 @@ BmcResult RunBmc(const ir::TransitionSystem& ts, const BmcOptions& options_in) {
   AQED_CHECK(!targets.empty(), "RunBmc with no bad predicates");
 
   BmcResult result;
+  bool cancelled = false;
   for (uint32_t depth = 0; depth < options.max_bound; ++depth) {
     if (options.cancel.cancelled()) {
-      result.cancelled = true;
+      cancelled = true;
       break;
     }
     {
@@ -261,7 +263,7 @@ BmcResult RunBmc(const ir::TransitionSystem& ts, const BmcOptions& options_in) {
     result.cubes_solved += query.cubes_solved;
     if (query.result == sat::SolveResult::kUnknown) {
       if (options.cancel.cancelled()) {
-        result.cancelled = true;
+        cancelled = true;
         break;
       }
       // Refutation budget exhausted at this depth. Counterexample queries
@@ -294,21 +296,22 @@ BmcResult RunBmc(const ir::TransitionSystem& ts, const BmcOptions& options_in) {
       // semantics), not a verdict about the design. It is reported with
       // trace_validated == false rather than aborting the process, so a
       // thousand-job campaign survives it and the scheduler can surface it
-      // as a hard per-job failure (JobResult::checker_error).
-      result.trace_validated = ReplayTrace(ts, result.trace);
+      // as a hard per-job failure (JobResult::checker_error). Chaos site
+      // "bmc.replay": an error trigger fails the replay.
+      result.trace_validated =
+          !AQED_FAILPOINT("bmc.replay") && ReplayTrace(ts, result.trace);
     }
     break;
   }
 
   if (result.outcome == BmcResult::Outcome::kBoundReached &&
-      (!result.refutation_complete || result.cancelled)) {
+      (!result.refutation_complete || cancelled)) {
     result.outcome = BmcResult::Outcome::kUnknown;
     // A cancellation (deadline or first-bug-wins) trumps budget skips for
     // the reason code: it is what actually ended the run.
     result.unknown_reason =
-        result.cancelled
-            ? sched::UnknownReasonFromCancel(options.cancel.reason())
-            : UnknownReason::kConflictBudget;
+        cancelled ? sched::UnknownReasonFromCancel(options.cancel.reason())
+                  : UnknownReason::kConflictBudget;
   }
   result.seconds = stopwatch.ElapsedSeconds();
   result.clauses = solver.num_clauses();

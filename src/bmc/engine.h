@@ -80,12 +80,11 @@ struct BmcResult {
   // False when some depth's refutation exhausted the conflict budget and
   // was skipped (the search continued deeper; found bugs remain sound).
   bool refutation_complete = true;
-  // True when the run was stopped early through BmcOptions::cancel; the
-  // outcome is then kUnknown and frames_explored reflects the progress made.
-  bool cancelled = false;
   // Why the outcome is kUnknown (kNone otherwise): budget exhaustion at
-  // some depth, a tripped per-job deadline, or cooperative cancellation —
-  // so stats tables and retry policies can tell the three apart.
+  // some depth, a tripped per-job deadline, a memory-governor shed, or
+  // cooperative cancellation — so stats tables and retry policies can tell
+  // them apart. A run stopped through BmcOptions::cancel reports one of the
+  // last three; frames_explored then reflects the progress made.
   UnknownReason unknown_reason = UnknownReason::kNone;
   uint32_t frames_explored = 0;
   double seconds = 0;

@@ -141,10 +141,7 @@ StatusOr<DecompositionResult> DecomposedSession::Run() {
 
     if (options_.cache != nullptr) {
       if (const auto hit = options_.cache->Lookup(entry.key)) {
-        verdict.classification = hit->classification;
-        verdict.kind = hit->kind;
-        verdict.cex_cycles = hit->cex_cycles;
-        verdict.attempts = hit->attempts;
+        static_cast<fault::EntryVerdict&>(verdict) = *hit;
         verdict.cached = true;
         result.cache_hits++;
         continue;
@@ -172,26 +169,10 @@ StatusOr<DecompositionResult> DecomposedSession::Run() {
   for (size_t i = 0; i < pending.size(); ++i) {
     if (!pending[i].enqueued) continue;
     SubVerdict& verdict = result.subs[i];
-    const core::JobHandle& handle = pending[i].handle;
-    if (session_result.bug_found(handle)) {
-      verdict.kind = session_result.kind(handle);
-      verdict.classification = fault::ClassifyKind(verdict.kind);
-      verdict.cex_cycles = session_result.cex_cycles(handle);
-    } else if (session_result.unknown_reason(handle) != UnknownReason::kNone) {
-      verdict.classification = fault::Classification::kUnknown;
-      verdict.unknown_reason = session_result.unknown_reason(handle);
-    } else {
-      verdict.classification = fault::Classification::kSurvived;
-    }
-    const core::JobResult& reported = session_result.Reported(handle);
-    verdict.attempts = reported.attempt + 1;
-    verdict.wall_seconds = reported.wall_seconds;
-
-    if (options_.cache != nullptr &&
-        verdict.classification != fault::Classification::kUnknown) {
-      options_.cache->Store(pending[i].key,
-                            {verdict.classification, verdict.kind,
-                             verdict.cex_cycles, verdict.attempts});
+    static_cast<fault::EntryVerdict&>(verdict) =
+        fault::ClassifyEntry(session_result, pending[i].handle.index());
+    if (options_.cache != nullptr) {
+      options_.cache->Store(pending[i].key, {verdict, 0});
     }
   }
 
@@ -201,13 +182,8 @@ StatusOr<DecompositionResult> DecomposedSession::Run() {
   // undecided verdict into a decided-looking one).
   for (size_t i = 0; i < pending.size(); ++i) {
     if (!pending[i].aliased) continue;
-    const SubVerdict& rep = result.subs[pending[i].alias_of];
-    SubVerdict& verdict = result.subs[i];
-    verdict.classification = rep.classification;
-    verdict.kind = rep.kind;
-    verdict.cex_cycles = rep.cex_cycles;
-    verdict.unknown_reason = rep.unknown_reason;
-    verdict.attempts = rep.attempts;
+    static_cast<fault::EntryVerdict&>(result.subs[i]) =
+        result.subs[pending[i].alias_of];
   }
 
   result.wall_seconds = stopwatch.ElapsedSeconds();

@@ -51,16 +51,11 @@ struct DecompOptions {
   service::SolveCache* cache = nullptr;
 };
 
-// Verdict for one sub-accelerator, in fault-campaign classification terms
-// (kDetectedFc/..., kSurvived = clean within bound, kUnknown = undecided).
-struct SubVerdict {
+// Verdict for one sub-accelerator, folded from its property jobs by
+// fault::ClassifyEntry (kDetectedFc/..., kSurvived = clean within bound,
+// kUnknown = undecided, a checker error included).
+struct SubVerdict : fault::EntryVerdict {
   std::string name;
-  fault::Classification classification = fault::Classification::kUnknown;
-  core::BugKind kind = core::BugKind::kNone;
-  uint32_t cex_cycles = 0;
-  UnknownReason unknown_reason = UnknownReason::kNone;
-  uint32_t attempts = 1;
-  double wall_seconds = 0;
   // Anonymous structural digest of the pristine fragment — the cache key
   // component, reported so runs can be correlated across sessions.
   uint64_t fragment_digest = 0;

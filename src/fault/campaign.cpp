@@ -16,43 +16,10 @@
 namespace aqed::fault {
 namespace {
 
-// Classifies one entry's jobs out of a session round into `report` (which
-// already carries design/key). FC < RB < SAC priority via ClassifyKind.
-void ClassifyEntry(const core::SessionResult& session_result,
-                   size_t entry_index, MutantReport& report) {
-  const core::JobResult* best = nullptr;
-  Classification best_class = Classification::kUnknown;
-  bool inconclusive = false;
-  UnknownReason reason = UnknownReason::kNone;
-  for (const core::JobResult& job : session_result.jobs) {
-    if (job.entry != entry_index) continue;
-    report.attempts = std::max(report.attempts, job.attempt + 1);
-    report.wall_seconds += job.wall_seconds;
-    if (job.result.bug_found) {
-      const Classification c = ClassifyKind(job.result.kind);
-      if (best == nullptr ||
-          static_cast<uint8_t>(c) < static_cast<uint8_t>(best_class)) {
-        best = &job;
-        best_class = c;
-      }
-    } else if (job.unknown_reason != UnknownReason::kNone) {
-      inconclusive = true;
-      if (reason == UnknownReason::kNone) reason = job.unknown_reason;
-    }
-  }
-  if (best != nullptr) {
-    report.classification = best_class;
-    report.kind = best->result.kind;
-    report.cex_cycles = best->result.cex_cycles();
-  } else if (inconclusive) {
-    report.classification = Classification::kUnknown;
-    report.unknown_reason = reason;
-  } else {
-    report.classification = Classification::kSurvived;
-  }
-  telemetry::AddCounter(std::string("fault.classified.") +
-                            ClassificationName(report.classification),
-                        1);
+void CountClassified(Classification classification) {
+  telemetry::AddCounter(
+      std::string("fault.classified.") + ClassificationName(classification),
+      1);
 }
 
 // Runs the conventional random-simulation baseline on one mutant and
@@ -75,6 +42,36 @@ std::string ReplayKey(std::string_view design, const MutantKey& key) {
 }
 
 }  // namespace
+
+EntryVerdict ClassifyEntry(const core::SessionResult& session_result,
+                           size_t entry) {
+  EntryVerdict verdict;  // kUnknown ranks below every detection
+  bool undecided = false;
+  for (const core::JobResult& job : session_result.jobs) {
+    if (job.entry != entry) continue;
+    verdict.attempts = std::max(verdict.attempts, job.attempt + 1);
+    const UnknownReason reason = job.result.bmc.unknown_reason;
+    if (job.result.bug_found) {
+      const Classification c = ClassifyKind(job.result.kind);
+      if (c < verdict.classification) {
+        verdict.classification = c;
+        verdict.kind = job.result.kind;
+        verdict.cex_cycles = job.result.cex_cycles();
+      }
+    } else if (job.checker_error || reason != UnknownReason::kNone) {
+      undecided = true;
+      if (verdict.unknown_reason == UnknownReason::kNone) {
+        verdict.unknown_reason = reason;
+      }
+    }
+  }
+  if (verdict.classification != Classification::kUnknown) {
+    verdict.unknown_reason = UnknownReason::kNone;
+  } else if (!undecided) {
+    verdict.classification = Classification::kSurvived;
+  }
+  return verdict;
+}
 
 Classification ClassifyKind(core::BugKind kind) {
   switch (kind) {
@@ -192,9 +189,7 @@ FaultCampaignResult RunFaultCampaign(std::span<const DesignUnderTest> designs,
                options.cache->Lookup(designs[plan[i].design], report.key,
                                      report)) {
       ++result.cache_hits;
-      telemetry::AddCounter(std::string("fault.classified.") +
-                                ClassificationName(report.classification),
-                            1);
+      CountClassified(report.classification);
     } else {
       if (options.cache != nullptr) ++result.cache_misses;
       todo.push_back(i);
@@ -230,10 +225,17 @@ FaultCampaignResult RunFaultCampaign(std::span<const DesignUnderTest> designs,
     }
     for (size_t b = 0; b < batch.size(); ++b) {
       const size_t i = batch[b];
-      ClassifyEntry(session_result, handles[b].index(), result.mutants[i]);
+      MutantReport& report = result.mutants[i];
+      static_cast<EntryVerdict&>(report) =
+          ClassifyEntry(session_result, handles[b].index());
+      for (const core::JobResult& job : session_result.jobs) {
+        if (job.entry == handles[b].index()) {
+          report.wall_seconds += job.wall_seconds;
+        }
+      }
+      CountClassified(report.classification);
       if (options.cache != nullptr) {
-        options.cache->Store(designs[plan[i].design], plan[i].key,
-                             result.mutants[i]);
+        options.cache->Store(designs[plan[i].design], plan[i].key, report);
       }
     }
     // Baseline before journaling so the record a crash preserves carries

@@ -49,9 +49,9 @@ class CampaignCache {
  public:
   virtual ~CampaignCache() = default;
 
-  // Fills the A-QED verdict columns of `report` (classification, kind,
-  // cex_cycles, attempts) when a decided entry exists. report.design and
-  // report.key are already set by the caller. false = miss, verify normally.
+  // Fills the EntryVerdict columns of `report` when a decided entry exists.
+  // report.design and report.key are already set by the caller. false =
+  // miss, verify normally.
   virtual bool Lookup(const DesignUnderTest& dut, const MutantKey& key,
                       MutantReport& report) = 0;
 
@@ -79,14 +79,32 @@ const char* ClassificationName(Classification classification);
 // in Table 1. kNone maps to kSurvived.
 Classification ClassifyKind(core::BugKind kind);
 
-struct MutantReport {
-  std::string design;
-  MutantKey key;
+// One session entry's property jobs folded into a verdict: the record a
+// campaign mutant (MutantReport), a decomposition fragment
+// (decomp::SubVerdict) and a solve-cache entry (service::CachedVerdict) all
+// carry.
+struct EntryVerdict {
   Classification classification = Classification::kUnknown;
   core::BugKind kind = core::BugKind::kNone;  // precise detecting property
   uint32_t cex_cycles = 0;      // A-QED detection latency (0 if undetected)
-  uint32_t attempts = 1;        // max attempts over the mutant's jobs
+  uint32_t attempts = 1;        // max attempts over the entry's jobs
+  // Why a kUnknown verdict is undecided: the first inconclusive job's
+  // reason, or kNone when a checker error (a counterexample that failed
+  // simulator replay) is all that kept the entry from a verdict.
   UnknownReason unknown_reason = UnknownReason::kNone;
+};
+
+// The one fold rule. A validated bug earns the strongest detecting
+// property's classification (ClassifyKind: FC before RB before SAC, ties to
+// the first job submitted); otherwise any inconclusive job or checker error
+// leaves the entry kUnknown, and only an entry whose every job refuted its
+// property to the bound is kSurvived. attempts is the max over the jobs.
+EntryVerdict ClassifyEntry(const core::SessionResult& session_result,
+                           size_t entry);
+
+struct MutantReport : EntryVerdict {
+  std::string design;
+  MutantKey key;
   double wall_seconds = 0;      // summed job wall time for this mutant
   // Provenance: the request trace id that classified this mutant (0 =
   // untraced, e.g. a CLI run). Fresh verdicts take

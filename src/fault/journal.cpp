@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <system_error>
 
 #include <unistd.h>
@@ -32,15 +33,11 @@ std::string EncodePayload(const MutantReport& report) {
   using telemetry::Json;
   // The uint64 seed and cycle count go as their int64 bit patterns, which
   // Dump prints exactly; DecodePayload casts them back.
-  return telemetry::Dump(Json::Object({
+  std::map<std::string, Json> members = {
       {"design", Json(report.design)},
       {"op", Json(MutationOpName(report.key.op))},
       {"node", Json(int64_t{report.key.node})},
       {"seed", Json(static_cast<int64_t>(report.key.seed))},
-      {"classification", Json(ClassificationName(report.classification))},
-      {"kind", Json(core::BugKindName(report.kind))},
-      {"cex_cycles", Json(int64_t{report.cex_cycles})},
-      {"attempts", Json(int64_t{report.attempts})},
       // Provenance; 0 = untraced. Written unconditionally so records
       // round-trip field for field, read leniently so pre-trace journals
       // still replay.
@@ -51,52 +48,46 @@ std::string EncodePayload(const MutantReport& report) {
       {"golden_detected", Json(report.golden_detected)},
       {"golden_cycles", Json(static_cast<int64_t>(report.golden_cycles))},
       {"golden_seconds", Json(report.golden_seconds)},
-  }));
+  };
+  AddVerdictColumns(report, members);
+  return telemetry::Dump(Json::Object(std::move(members)));
 }
 
 std::optional<MutantReport> DecodePayload(std::string_view payload) {
   const std::optional<telemetry::Json> json = telemetry::ParseJson(payload);
   if (!json) return std::nullopt;
-  const auto name = [&](const char* key) {
-    return json->GetString(key).value_or("");
-  };
   const auto design = json->GetString("design");
-  const auto op = MutationOpFromName(name("op"));
+  const auto op = MutationOpFromName(json->GetString("op").value_or(""));
   const auto node = json->GetInt("node", 0, UINT32_MAX);
   const auto seed = json->GetInt("seed", INT64_MIN, INT64_MAX);
-  const auto classification = ClassificationFromName(name("classification"));
-  const auto kind = BugKindFromName(name("kind"));
-  const auto cex_cycles = json->GetInt("cex_cycles", 0, UINT32_MAX);
-  const auto attempts = json->GetInt("attempts", 0, UINT32_MAX);
+  const auto verdict = ReadVerdictColumns(*json);
   // The wire-stable mapping in support/verdict.h is the single source of
   // truth for the outcome enums; only the fault-local ones use EnumFromName.
-  const auto unknown = UnknownReasonFromString(name("unknown_reason"));
+  const auto unknown =
+      UnknownReasonFromString(json->GetString("unknown_reason").value_or(""));
   const auto wall_seconds = json->GetDouble("wall_seconds");
   const auto golden_ran = json->GetBool("golden_ran");
   const auto golden_detected = json->GetBool("golden_detected");
   const auto golden_cycles =
       json->GetInt("golden_cycles", INT64_MIN, INT64_MAX);
   const auto golden_seconds = json->GetDouble("golden_seconds");
-  if (!design || !op || !node || !seed || !classification || !kind ||
-      !cex_cycles || !attempts || !unknown || !wall_seconds || !golden_ran ||
-      !golden_detected || !golden_cycles || !golden_seconds) {
+  if (!design || !op || !node || !seed || !verdict || !unknown ||
+      !wall_seconds || !golden_ran || !golden_detected || !golden_cycles ||
+      !golden_seconds) {
     return std::nullopt;
   }
 
   MutantReport report;
+  static_cast<EntryVerdict&>(report) = *verdict;
+  report.unknown_reason = *unknown;
   report.design = *design;
   report.key.op = *op;
   report.key.node = static_cast<ir::NodeRef>(*node);
   report.key.seed = static_cast<uint64_t>(*seed);
-  report.classification = *classification;
-  report.kind = *kind;
-  report.cex_cycles = static_cast<uint32_t>(*cex_cycles);
-  report.attempts = static_cast<uint32_t>(*attempts);
   // trace_id is optional (journals written before it existed lack the
   // field) and deliberately lax: a malformed value degrades to "untraced",
   // never poisons an otherwise-valid classification record.
   report.trace_id = json->GetHex64("trace_id").value_or(0);
-  report.unknown_reason = *unknown;
   report.wall_seconds = *wall_seconds;
   report.golden_ran = *golden_ran;
   report.golden_detected = *golden_detected;
@@ -118,6 +109,33 @@ std::optional<Classification> ClassificationFromName(std::string_view name) {
 std::optional<core::BugKind> BugKindFromName(std::string_view name) {
   return EnumFromName(name, core::BugKind::kSingleActionCorrectness,
                       core::BugKindName);
+}
+
+void AddVerdictColumns(const EntryVerdict& verdict,
+                       std::map<std::string, telemetry::Json>& members) {
+  using telemetry::Json;
+  members.emplace("classification",
+                  Json(ClassificationName(verdict.classification)));
+  members.emplace("kind", Json(core::BugKindName(verdict.kind)));
+  members.emplace("cex_cycles", Json(int64_t{verdict.cex_cycles}));
+  members.emplace("attempts", Json(int64_t{verdict.attempts}));
+}
+
+std::optional<EntryVerdict> ReadVerdictColumns(const telemetry::Json& json) {
+  const auto classification =
+      ClassificationFromName(json.GetString("classification").value_or(""));
+  const auto kind = BugKindFromName(json.GetString("kind").value_or(""));
+  const auto cex_cycles = json.GetInt("cex_cycles", 0, UINT32_MAX);
+  const auto attempts = json.GetInt("attempts", 0, UINT32_MAX);
+  if (!classification || !kind || !cex_cycles || !attempts) {
+    return std::nullopt;
+  }
+  EntryVerdict verdict;
+  verdict.classification = *classification;
+  verdict.kind = *kind;
+  verdict.cex_cycles = static_cast<uint32_t>(*cex_cycles);
+  verdict.attempts = static_cast<uint32_t>(*attempts);
+  return verdict;
 }
 
 std::string EncodeJournalRecord(const MutantReport& report) {

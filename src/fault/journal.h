@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -31,6 +32,7 @@
 #include "fault/campaign.h"
 #include "support/record.h"
 #include "support/status.h"
+#include "telemetry/json.h"
 
 namespace aqed::fault {
 
@@ -41,6 +43,15 @@ namespace aqed::fault {
 std::optional<MutationOp> MutationOpFromName(std::string_view name);
 std::optional<Classification> ClassificationFromName(std::string_view name);
 std::optional<core::BugKind> BugKindFromName(std::string_view name);
+
+// The four EntryVerdict columns the journal and the solve cache both persist
+// (classification, kind, cex_cycles and attempts, by name), added to a JSON
+// object's members and read back range-checked: nullopt on any missing or
+// bad column. unknown_reason is the journal's own column, since the cache
+// holds decided verdicts only.
+void AddVerdictColumns(const EntryVerdict& verdict,
+                       std::map<std::string, telemetry::Json>& members);
+std::optional<EntryVerdict> ReadVerdictColumns(const telemetry::Json& json);
 
 // One report as its CRC-guarded journal line (trailing '\n' included).
 std::string EncodeJournalRecord(const MutantReport& report);

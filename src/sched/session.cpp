@@ -106,9 +106,7 @@ void VerificationSession::RunJob(const PendingJob& job, core::JobResult& out) {
     // started: report it untouched.
     out.cancelled = true;
     out.result.bmc.outcome = bmc::BmcResult::Outcome::kUnknown;
-    out.result.bmc.cancelled = true;
     out.result.bmc.unknown_reason = UnknownReasonFromCancel(token.reason());
-    out.unknown_reason = out.result.bmc.unknown_reason;
     return;
   }
   LiveJobGauge live_job;
@@ -161,16 +159,10 @@ void VerificationSession::RunJob(const PendingJob& job, core::JobResult& out) {
     out.result.bug_found = false;
     telemetry::AddCounter("sched.checker_errors", 1);
   }
-  out.unknown_reason =
-      out.result.bmc.outcome == bmc::BmcResult::Outcome::kUnknown
-          ? out.result.bmc.unknown_reason
-          : UnknownReason::kNone;
   // A deadline expiry or a memory-governor shed is a per-job resource
   // verdict, not a sibling stopping us — only the latter counts as
   // "cancelled" for first-bug-wins accounting.
-  out.cancelled = out.result.bmc.cancelled &&
-                  out.unknown_reason != UnknownReason::kDeadline &&
-                  out.unknown_reason != UnknownReason::kMemoryBudget;
+  out.cancelled = out.result.bmc.unknown_reason == UnknownReason::kCancelled;
   out.ts = std::move(ts);
   if (telemetry::Enabled()) {
     telemetry::AddCounter("sched.jobs", 1);
@@ -238,19 +230,18 @@ void VerificationSession::RunBatch(const std::vector<PendingJob>& jobs,
                   .bug_found = job.result.bug_found,
                   .checker_error = job.checker_error,
                   .attempt = job.attempt,
-                  .unknown_reason = job.unknown_reason});
+                  .unknown_reason = job.result.bmc.unknown_reason});
   }
 }
 
 bool VerificationSession::EscalateForRetry(const core::JobResult& result,
                                            PendingJob& job) const {
-  if (result.result.bmc.outcome != bmc::BmcResult::Outcome::kUnknown) {
-    return false;
-  }
-  // Cancelled jobs are decided elsewhere (first-bug-wins) or abandoned
-  // (external cancel) — re-running them would just be cancelled again.
-  if (result.unknown_reason != UnknownReason::kConflictBudget &&
-      result.unknown_reason != UnknownReason::kDeadline) {
+  // Only budget and deadline unknowns are retried. Cancelled jobs are
+  // decided elsewhere (first-bug-wins) or abandoned (external cancel) —
+  // re-running them would just be cancelled again.
+  const UnknownReason reason = result.result.bmc.unknown_reason;
+  if (reason != UnknownReason::kConflictBudget &&
+      reason != UnknownReason::kDeadline) {
     return false;
   }
   if (TokenFor(job.entry).cancelled()) return false;

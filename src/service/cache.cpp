@@ -29,12 +29,8 @@ std::string EncodeEntry(const CacheKey& key, const CachedVerdict& verdict) {
       {"config", Json(support::Hex64(key.config_digest))},
       {"mutant", Json(key.mutant_key)},
       {"depth", Json(int64_t{key.depth})},
-      {"classification",
-       Json(fault::ClassificationName(verdict.classification))},
-      {"kind", Json(core::BugKindName(verdict.kind))},
-      {"cex_cycles", Json(int64_t{verdict.cex_cycles})},
-      {"attempts", Json(int64_t{verdict.attempts})},
   };
+  fault::AddVerdictColumns(verdict, data);
   if (verdict.trace_id != 0) {
     data.emplace("trace_id", Json(support::Hex64(verdict.trace_id)));
   }
@@ -46,23 +42,15 @@ std::optional<std::pair<CacheKey, CachedVerdict>> DecodeEntry(
     std::string_view payload) {
   const std::optional<telemetry::Json> json = telemetry::ParseJson(payload);
   if (!json) return std::nullopt;
-  const auto name = [&](const char* key) {
-    return json->GetString(key).value_or("");
-  };
   const auto design = json->GetHex64("design");
   const auto config = json->GetHex64("config");
   const auto mutant = json->GetString("mutant");
   const auto depth = json->GetInt("depth", 0, UINT32_MAX);
-  const auto classification =
-      fault::ClassificationFromName(name("classification"));
-  const auto kind = fault::BugKindFromName(name("kind"));
-  const auto cex_cycles = json->GetInt("cex_cycles", 0, UINT32_MAX);
-  const auto attempts = json->GetInt("attempts", 0, UINT32_MAX);
+  const auto verdict = fault::ReadVerdictColumns(*json);
   // A persisted kUnknown can only come from corruption or hand-editing:
   // Store refuses them, so Load does too.
-  if (!design || !config || !mutant || !depth || !classification ||
-      *classification == fault::Classification::kUnknown || !kind ||
-      !cex_cycles || !attempts) {
+  if (!design || !config || !mutant || !depth || !verdict ||
+      verdict->classification == fault::Classification::kUnknown) {
     return std::nullopt;
   }
 
@@ -71,15 +59,11 @@ std::optional<std::pair<CacheKey, CachedVerdict>> DecodeEntry(
   key.config_digest = *config;
   key.mutant_key = *mutant;
   key.depth = static_cast<uint32_t>(*depth);
-  CachedVerdict verdict;
-  verdict.classification = *classification;
-  verdict.kind = *kind;
-  verdict.cex_cycles = static_cast<uint32_t>(*cex_cycles);
-  verdict.attempts = static_cast<uint32_t>(*attempts);
   // Optional provenance: files written before trace ids (or entries solved
   // by an untraced run) simply have none.
-  verdict.trace_id = json->GetHex64("trace_id").value_or(0);
-  return std::make_pair(std::move(key), verdict);
+  return std::make_pair(
+      std::move(key),
+      CachedVerdict{*verdict, json->GetHex64("trace_id").value_or(0)});
 }
 
 }  // namespace
@@ -285,15 +269,12 @@ CacheKey CampaignCacheAdapter::KeyFor(const fault::DesignUnderTest& dut,
 bool CampaignCacheAdapter::Lookup(const fault::DesignUnderTest& dut,
                                   const fault::MutantKey& key,
                                   fault::MutantReport& report) {
-  const std::optional<CachedVerdict> verdict = cache_.Lookup(KeyFor(dut, key));
-  if (!verdict) return false;
-  report.classification = verdict->classification;
-  report.kind = verdict->kind;
-  report.cex_cycles = verdict->cex_cycles;
-  report.attempts = verdict->attempts;
+  const std::optional<CachedVerdict> hit = cache_.Lookup(KeyFor(dut, key));
+  if (!hit) return false;
+  static_cast<fault::EntryVerdict&>(report) = *hit;
   // The *originating* request's id, not this run's: a hit's provenance is
   // whoever actually solved it.
-  report.trace_id = verdict->trace_id;
+  report.trace_id = hit->trace_id;
   return true;
 }
 
@@ -301,13 +282,7 @@ void CampaignCacheAdapter::Store(const fault::DesignUnderTest& dut,
                                  const fault::MutantKey& key,
                                  const fault::MutantReport& report) {
   if (report.classification == fault::Classification::kUnknown) return;
-  CachedVerdict verdict;
-  verdict.classification = report.classification;
-  verdict.kind = report.kind;
-  verdict.cex_cycles = report.cex_cycles;
-  verdict.attempts = report.attempts;
-  verdict.trace_id = report.trace_id;
-  cache_.Store(KeyFor(dut, key), verdict);
+  cache_.Store(KeyFor(dut, key), CachedVerdict{report, report.trace_id});
 }
 
 }  // namespace aqed::service

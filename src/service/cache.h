@@ -63,12 +63,9 @@ struct CacheKeyHash {
 // to designs (service/registry.h), so the design digest disambiguates.
 uint64_t ConfigDigest(const core::AqedOptions& options);
 
-// One decided solve outcome: the A-QED verdict columns of a MutantReport.
-struct CachedVerdict {
-  fault::Classification classification = fault::Classification::kUnknown;
-  core::BugKind kind = core::BugKind::kNone;
-  uint32_t cex_cycles = 0;
-  uint32_t attempts = 1;
+// One decided solve outcome: the folded verdict of the entry that solved it
+// (unknown_reason is always kNone here, as only decided verdicts are kept).
+struct CachedVerdict : fault::EntryVerdict {
   // Provenance: the request trace id that originally solved this entry
   // (0 = untraced). A later hit hands the id back out via the adapter, so
   // `aqed-client --status`-style tooling can trace a cached verdict to the
@@ -133,7 +130,7 @@ class SolveCache {
 
 // fault::CampaignCache adapter: translates (DesignUnderTest, MutantKey)
 // into a CacheKey — memoizing the per-design structural digest, which costs
-// one pristine build per design — and moves verdict columns between
+// one pristine build per design — and copies the EntryVerdict between
 // MutantReport and CachedVerdict. Borrowed cache must outlive the adapter.
 class CampaignCacheAdapter : public fault::CampaignCache {
  public:

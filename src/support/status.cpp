@@ -16,9 +16,8 @@ const std::string& Status::message() const {
   return message_.has_value() ? *message_ : kOk;
 }
 
-void CheckImpl(bool condition, const char* expr, const char* file, int line,
+void CheckFail(const char* expr, const char* file, int line,
                const std::string& message) {
-  if (condition) return;
   std::fprintf(stderr, "AQED_CHECK failed: %s at %s:%d: %s\n", expr, file,
                line, message.c_str());
   std::abort();

@@ -42,12 +42,17 @@ class StatusOr {
   std::optional<T> value_;
 };
 
-// Aborts with `message` if `condition` is false. Used for internal
-// invariants (programming errors), not user-input validation.
-void CheckImpl(bool condition, const char* expr, const char* file, int line,
-               const std::string& message);
+// Prints the failed check and aborts. Called only by AQED_CHECK.
+[[noreturn]] void CheckFail(const char* expr, const char* file, int line,
+                            const std::string& message);
 
-#define AQED_CHECK(cond, msg) \
-  ::aqed::CheckImpl((cond), #cond, __FILE__, __LINE__, (msg))
+// Aborts with `msg` if `cond` is false. Used for internal invariants
+// (programming errors), not user-input validation. `msg` is evaluated only
+// when the check fails, so a passing check on a hot path builds no string.
+#define AQED_CHECK(cond, msg)                                              \
+  do {                                                                     \
+    if (__builtin_expect(!(cond), 0))                                      \
+      ::aqed::CheckFail(#cond, __FILE__, __LINE__, (msg));                 \
+  } while (0)
 
 }  // namespace aqed

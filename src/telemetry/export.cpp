@@ -22,11 +22,10 @@ void WriteJsonString(std::ostream& out, std::string_view text) {
   out << quoted;
 }
 
-// Doubles printed with %.17g survive the round-trip through strtod.
 void WriteJsonDouble(std::ostream& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out << buf;
+  std::string number;
+  AppendJsonDouble(number, value);
+  out << number;
 }
 
 void WriteEvent(std::ostream& out, const TraceEvent& event) {

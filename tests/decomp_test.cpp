@@ -4,7 +4,9 @@
 // determinism across worker counts, isomorphic-fragment dedup, the
 // cross-run SolveCache, and the acceptance gate — the bench-sized widepipe
 // is UNKNOWN (conflict budget) monolithically but verifies clean
-// decomposed, and a bug injected into one stage is caught decomposed.
+// decomposed, and a bug injected into one stage is caught decomposed. Also
+// the checker-error rule every verdict fold shares: a counterexample that
+// fails simulator replay leaves its entry undecided.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,10 +17,13 @@
 
 #include "accel/widepipe.h"
 #include "aqed/checker.h"
+#include "aqed/report.h"
 #include "decomp/decomposition.h"
 #include "decomp/session.h"
+#include "fault/campaign.h"
 #include "ir/digest.h"
 #include "service/cache.h"
+#include "support/failpoint.h"
 
 namespace aqed::decomp {
 namespace {
@@ -319,6 +324,70 @@ TEST(DecompAcceptanceTest, BenchConfigBugIsCaughtDecomposed) {
   EXPECT_EQ(result.FirstBug()->classification,
             fault::Classification::kDetectedFc);
 }
+
+// --- checker errors ----------------------------------------------------------
+
+#if AQED_FAILPOINTS_ENABLED
+
+// A counterexample whose simulator replay fails is a checker error, never a
+// verdict about the design. The campaign, the solve cache, the decomposed
+// session and the session's own count must all read it as undecided. The
+// "bmc.replay" failpoint fails every replay while armed.
+TEST(CheckerErrorTest, FailedReplayLeavesTheEntryUndecidedEverywhere) {
+  const accel::WidePipeConfig config = SmallConfig(/*bug_stage=*/1);
+  const core::AcceleratorBuilder build = [config](ir::TransitionSystem& ts) {
+    return accel::BuildWidePipe(ts, config).acc;
+  };
+  fault::DesignUnderTest dut;
+  dut.name = "widepipe-bug";
+  dut.build = build;
+  dut.options = MonoOptions(config);
+  fault::FaultCampaignOptions campaign;
+  campaign.num_mutants = 1;
+  campaign.seed = 1;  // samples a mutant that keeps the stage-1 bug
+
+  // Control: with replay working, the sampled mutant's bug is detected.
+  const fault::FaultCampaignResult control =
+      fault::RunFaultCampaign({&dut, 1}, campaign);
+  ASSERT_EQ(control.mutants.size(), 1u);
+  ASSERT_EQ(control.num_detected(), 1u) << control.ToTable();
+
+  support::failpoint::Arm(
+      "bmc.replay", {support::FailpointAction::kReturnError, /*skip=*/0,
+                     /*limit=*/0});
+  service::SolveCache cache;
+  service::CampaignCacheAdapter adapter(cache);
+  campaign.cache = &adapter;
+  const fault::FaultCampaignResult result =
+      fault::RunFaultCampaign({&dut, 1}, campaign);
+  ASSERT_EQ(result.mutants.size(), 1u);
+  EXPECT_EQ(result.mutants[0].classification, fault::Classification::kUnknown);
+  EXPECT_EQ(cache.size(), 0u);
+
+  DecompOptions options;
+  options.cache = &cache;
+  const DecompositionResult decomposed = RunDecomposed(config, options);
+  ASSERT_EQ(decomposed.subs.size(), 2u);
+  EXPECT_EQ(decomposed.subs[0].classification,
+            fault::Classification::kSurvived);
+  EXPECT_EQ(decomposed.subs[1].classification,
+            fault::Classification::kUnknown);
+  EXPECT_FALSE(decomposed.bug_found());
+  // Only the clean stage's verdict was cached.
+  EXPECT_EQ(cache.size(), 1u);
+
+  const core::SessionResult session =
+      core::CheckAccelerator(build, MonoOptions(config));
+  EXPECT_FALSE(session.bug_found());
+  EXPECT_TRUE(session.jobs[0].checker_error);
+  EXPECT_EQ(session.num_unknown(), 1u);
+  EXPECT_EQ(core::SummarizeResult(session.aqed()).rfind("CHECKER ERROR", 0),
+            0u);
+  EXPECT_GT(support::failpoint::FireCount("bmc.replay"), 0u);
+  support::failpoint::DisarmAll();
+}
+
+#endif  // AQED_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace aqed::decomp

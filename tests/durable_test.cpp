@@ -602,7 +602,8 @@ TEST(MemoryGovernorTest, TinyBudgetCancelsJobsWithMemoryBudgetReason) {
   EXPECT_EQ(sched::CurrentMemoryPressure(), sched::MemoryPressure::kNone);
   size_t shed = 0;
   for (const core::JobResult& job : result.jobs) {
-    if (job.unknown_reason == UnknownReason::kMemoryBudget) ++shed;
+    const UnknownReason reason = job.result.bmc.unknown_reason;
+    if (reason == UnknownReason::kMemoryBudget) ++shed;
   }
   EXPECT_GT(shed, 0u) << "no job observed the memory-budget cancellation";
   // The budget bounded the damage: the process stayed within an order of

@@ -110,8 +110,8 @@ TEST(BmcCancellationTest, PreCancelledRunStopsBeforeTheFirstFrame) {
   options.max_bound = 50;
   options.cancel = source.token();
   const bmc::BmcResult result = bmc::RunBmc(ts, options);
-  EXPECT_TRUE(result.cancelled);
   EXPECT_EQ(result.outcome, bmc::BmcResult::Outcome::kUnknown);
+  EXPECT_EQ(result.unknown_reason, UnknownReason::kCancelled);
   EXPECT_EQ(result.frames_explored, 0u);
 }
 

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -473,6 +474,18 @@ TEST(JsonTest, AppendJsonStringEscapesLikeDump) {
   EXPECT_EQ(out, "\"q\\\"b\\\\n\\n\\u0001\\b\\f\\t\"");
   EXPECT_EQ(out, Dump(Json(text)));
   EXPECT_EQ(ParseJson(out)->AsString(), text);
+}
+
+TEST(JsonTest, NonFiniteNumbersDumpAsNullAndReparse) {
+  const std::string text =
+      Dump(Json::Object({{"sum", Json(INFINITY)}, {"nan", Json(NAN)}}));
+  EXPECT_EQ(text, "{\"nan\":null,\"sum\":null}");
+  const std::optional<Json> parsed = ParseJson(text);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_TRUE(parsed->Find("sum")->is_null());
+  std::string out;
+  AppendJsonDouble(out, -INFINITY);
+  EXPECT_EQ(out, "null");
 }
 
 TEST(JsonTest, RejectsMalformedInput) {
