@@ -105,14 +105,14 @@ AesDesign BuildAes(ir::TransitionSystem& ts, const AesConfig& config) {
   std::vector<std::vector<NodeRef>> q_block(kQueueSlots);
   std::vector<NodeRef> q_key(kQueueSlots);
   for (uint32_t s = 0; s < kQueueSlots; ++s) {
+    const std::string slot = std::string("q").append(std::to_string(s));
     q_block[s].resize(batch);
     for (uint32_t b = 0; b < batch; ++b) {
-      q_block[s][b] = Reg(ts,
-                          "q" + std::to_string(s) + ".block" +
-                              std::to_string(b),
-                          kBlockWidth, 0);
+      q_block[s][b] = Reg(
+          ts, std::string(slot).append(".block").append(std::to_string(b)),
+          kBlockWidth, 0);
     }
-    q_key[s] = Reg(ts, "q" + std::to_string(s) + ".key", kBlockWidth, 0);
+    q_key[s] = Reg(ts, slot + ".key", kBlockWidth, 0);
   }
   const NodeRef q_wr = Reg(ts, "q.wr", 1, 0);
   const NodeRef q_rd = Reg(ts, "q.rd", 1, 0);

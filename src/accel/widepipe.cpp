@@ -29,12 +29,15 @@ uint64_t KeyConst(uint32_t lane, uint32_t width) {
   return (c | 1) & ((width >= 64) ? ~0ull : ((1ull << width) - 1));
 }
 
-std::string StageValid(uint32_t stage) {
-  return "s" + std::to_string(stage) + ".valid";
+// "s<stage><suffix>", the name of a stage's register.
+std::string StageName(uint32_t stage, const char* suffix) {
+  return std::string("s").append(std::to_string(stage)).append(suffix);
 }
 
+std::string StageValid(uint32_t stage) { return StageName(stage, ".valid"); }
+
 std::string StageReg(uint32_t stage, uint32_t lane) {
-  return "s" + std::to_string(stage) + ".r" + std::to_string(lane);
+  return StageName(stage, ".r").append(std::to_string(lane));
 }
 
 // out[l] = sbox(prev[l]) + prev[(l+1) % lanes], with
@@ -90,8 +93,8 @@ WidePipeDesign BuildWidePipe(ir::TransitionSystem& ts,
       // whether the last cycle carried a valid word; a back-to-back word
       // gets its lane-0 result XORed with that stale shadow.
       const NodeRef shadow =
-          Reg(ts, "s" + std::to_string(stage) + ".shadow", config.width, 0);
-      const NodeRef b2b = Reg(ts, "s" + std::to_string(stage) + ".b2b", 1, 0);
+          Reg(ts, StageName(stage, ".shadow"), config.width, 0);
+      const NodeRef b2b = Reg(ts, StageName(stage, ".b2b"), 1, 0);
       ts.SetNext(shadow, ctx.Ite(prev_valid, prev[0], shadow));
       ts.SetNext(b2b, prev_valid);
       out[0] = ctx.Ite(b2b, ctx.Xor(out[0], shadow), out[0]);

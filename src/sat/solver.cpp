@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "sched/memory_governor.h"
 #include "support/failpoint.h"
@@ -21,8 +20,8 @@ CRef Solver::AllocClause(std::span<const Lit> lits, bool learnt) {
   // (or delay) out of the solver's hottest allocation path.
   (void)AQED_FAILPOINT("sat.alloc");
   const CRef cref = static_cast<CRef>(arena_.size());
-  arena_.push_back((static_cast<uint32_t>(lits.size()) << 1) |
-                   (learnt ? 1u : 0u));
+  arena_.push_back((static_cast<uint32_t>(lits.size()) << 2) |
+                   (learnt ? kLearntBit : 0u));
   arena_.push_back(0);  // activity bits
   arena_.push_back(0);  // literal block distance (learnt clauses)
   for (Lit lit : lits) arena_.push_back(lit.index());
@@ -37,10 +36,6 @@ float Solver::ClauseActivity(CRef cref) const {
 
 void Solver::SetClauseActivity(CRef cref, float activity) {
   std::memcpy(&arena_[cref + 1], &activity, sizeof(activity));
-}
-
-void Solver::ShrinkClause(CRef cref, uint32_t new_size) {
-  arena_[cref] = (new_size << 1) | (arena_[cref] & 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -127,7 +122,9 @@ bool Solver::Locked(CRef cref) const {
 void Solver::RemoveClause(CRef cref) {
   DetachClause(cref);
   if (Locked(cref)) reason_[ClauseLits(cref)[0].var()] = kCRefUndef;
-  // Arena space is not reclaimed; BMC instances at our scale fit comfortably.
+  // The words stay in the arena until the next CompactArena.
+  arena_[cref] |= kRemovedBit;
+  wasted_ += ClauseWords(ClauseSize(cref));
 }
 
 // ---------------------------------------------------------------------------
@@ -444,6 +441,24 @@ Lit Solver::PickBranchLit() {
 // Learnt-clause database reduction
 // ---------------------------------------------------------------------------
 
+template <typename Removable>
+void Solver::RemoveLearnts(Removable removable, bool compact) {
+  size_t kept = 0;
+  for (size_t i = 0; i < learnts_.size(); ++i) {
+    const CRef cref = learnts_[i];
+    if (ClauseSize(cref) > 2 && !Locked(cref) && removable(i, cref)) {
+      RemoveClause(cref);
+    } else {
+      learnts_[kept++] = cref;
+    }
+  }
+  learnts_.resize(kept);
+  if (compact || static_cast<double>(wasted_) >
+                     kGarbageFraction * static_cast<double>(arena_.size())) {
+    CompactArena();
+  }
+}
+
 void Solver::ReduceDB() {
   ++stats_.reduce_db_rounds;
   max_learnts_ *= 1.1;  // allow the database to grow over time
@@ -454,83 +469,82 @@ void Solver::ReduceDB() {
     if (ClauseLbd(a) != ClauseLbd(b)) return ClauseLbd(a) > ClauseLbd(b);
     return ClauseActivity(a) < ClauseActivity(b);
   });
-  size_t kept = 0;
   const size_t half = learnts_.size() / 2;
-  for (size_t i = 0; i < learnts_.size(); ++i) {
-    const CRef cref = learnts_[i];
-    const bool removable = ClauseSize(cref) > 2 && ClauseLbd(cref) > 3 &&
-                           !Locked(cref) && i < half;
-    if (removable) {
-      RemoveClause(cref);
-    } else {
-      learnts_[kept++] = cref;
-    }
-  }
-  learnts_.resize(kept);
+  RemoveLearnts(
+      [&](size_t position, CRef cref) {
+        return position < half && ClauseLbd(cref) > 3;
+      },
+      /*compact=*/false);
 }
 
 void Solver::ShedLearnts() {
   ++stats_.shed_rounds;
-  size_t kept = 0;
-  for (const CRef cref : learnts_) {
-    const bool removable =
-        ClauseSize(cref) > 2 && ClauseLbd(cref) > 2 && !Locked(cref);
-    if (removable) {
-      RemoveClause(cref);
-    } else {
-      learnts_[kept++] = cref;
-    }
-  }
-  learnts_.resize(kept);
+  RemoveLearnts([&](size_t, CRef cref) { return ClauseLbd(cref) > 2; },
+                /*compact=*/true);
+  arena_.shrink_to_fit();  // return the bytes now, not when the solver dies
   // Keep the database small while pressure lasts; the next Solve call
   // resets this to the normal growth schedule.
   max_learnts_ =
       std::max<double>(static_cast<double>(learnts_.size()) + 512.0, 1024.0);
-  CompactArena();
   shed_floor_ = 2 * learnts_.size() + 1024;
   telemetry::AddCounter("sat.shed_rounds", 1);
 }
 
 void Solver::CompactArena() {
-  std::vector<uint32_t> fresh;
-  size_t needed = 0;
-  for (const CRef cref : clauses_) needed += 3 + ClauseSize(cref);
-  for (const CRef cref : learnts_) needed += 3 + ClauseSize(cref);
-  fresh.reserve(needed);
-  std::unordered_map<CRef, CRef> remap;
-  remap.reserve(clauses_.size() + learnts_.size());
-  const auto move_clause = [&](CRef old_ref) {
-    const uint32_t words = 3 + ClauseSize(old_ref);
-    const CRef fresh_ref = static_cast<CRef>(fresh.size());
-    fresh.insert(fresh.end(), arena_.begin() + old_ref,
-                 arena_.begin() + old_ref + words);
-    remap.emplace(old_ref, fresh_ref);
-    return fresh_ref;
+  // Sliding compaction in place (the Lisp 2 collector): live clauses keep
+  // their arena order and move down over the removed ones, so nothing is
+  // allocated and the arena keeps its capacity for the clauses to come.
+  // Pass 1 writes each live clause's new CRef into its activity word, which
+  // it saves; pass 2 forwards every reference through that word; pass 3
+  // slides the clauses down and restores the activities.
+  std::vector<uint32_t> activities;
+  activities.reserve(clauses_.size() + learnts_.size());
+  CRef to = 0;
+  for (CRef from = 0; from < arena_.size();
+       from += ClauseWords(ClauseSize(from))) {
+    if ((arena_[from] & kRemovedBit) != 0) continue;
+    activities.push_back(arena_[from + 1]);
+    arena_[from + 1] = to;
+    to += ClauseWords(ClauseSize(from));
+  }
+  const auto forward = [&](CRef& cref, const char* what) {
+    AQED_CHECK((arena_[cref] & kRemovedBit) == 0, what);
+    cref = arena_[cref + 1];
   };
-  for (CRef& cref : clauses_) cref = move_clause(cref);
-  for (CRef& cref : learnts_) cref = move_clause(cref);
-  arena_ = std::move(fresh);
+  for (CRef& cref : clauses_) forward(cref, "problem clause was removed");
+  for (CRef& cref : learnts_) forward(cref, "listed learnt was removed");
   // Reasons: an assigned variable's reason clause is locked, so it
-  // survived the shed and is in the map; unassigned variables may carry a
-  // stale reason from a backtracked assignment — drop those.
+  // survived removal; unassigned variables may carry a stale reason from a
+  // backtracked assignment — drop those.
   for (Var var = 0; var < num_vars(); ++var) {
-    if (Value(var) == LBool::kUndef) {
-      reason_[var] = kCRefUndef;
-      continue;
-    }
     CRef& reason = reason_[var];
-    if (reason == kCRefUndef) continue;
-    const auto it = remap.find(reason);
-    AQED_CHECK(it != remap.end(), "reason clause lost in compaction");
-    reason = it->second;
+    if (Value(var) == LBool::kUndef) {
+      reason = kCRefUndef;
+    } else if (reason != kCRefUndef) {
+      forward(reason, "reason clause lost in compaction");
+    }
   }
   for (auto& watch_list : watches_) {
     for (Watcher& watcher : watch_list) {
-      const auto it = remap.find(watcher.cref);
-      AQED_CHECK(it != remap.end(), "watched clause lost in compaction");
-      watcher.cref = it->second;
+      forward(watcher.cref, "watched clause lost in compaction");
     }
   }
+  size_t next = 0;
+  to = 0;
+  for (CRef from = 0; from < arena_.size();) {
+    const uint32_t words = ClauseWords(ClauseSize(from));
+    if ((arena_[from] & kRemovedBit) == 0) {
+      arena_[from + 1] = activities[next++];
+      if (to != from) {
+        std::copy(arena_.begin() + from, arena_.begin() + from + words,
+                  arena_.begin() + to);
+      }
+      to += words;
+    }
+    from += words;
+  }
+  arena_.resize(to);
+  wasted_ = 0;
 }
 
 uint64_t Solver::MemoryBytes() const {
@@ -657,6 +671,7 @@ std::unique_ptr<Solver> Solver::Clone(const Options& options) const {
   AQED_CHECK(DecisionLevel() == 0, "Clone requires decision level 0");
   auto clone = std::make_unique<Solver>(options);
   clone->arena_ = arena_;
+  clone->wasted_ = wasted_;
   clone->clauses_ = clauses_;
   clone->learnts_ = learnts_;
   clone->num_problem_clauses_ = num_problem_clauses_;

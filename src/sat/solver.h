@@ -141,9 +141,15 @@ class Solver {
   };
 
   // --- clause arena ----------------------------------------------------
-  // Layout per clause: [size<<1 | learnt][activity bits][lbd][lits ...]
-  uint32_t ClauseSize(CRef cref) const { return arena_[cref] >> 1; }
-  bool ClauseLearnt(CRef cref) const { return (arena_[cref] & 1) != 0; }
+  // Layout per clause: [size<<2 | removed<<1 | learnt][activity bits][lbd]
+  // [lits ...]. A removed clause's words stay until CompactArena, which
+  // slides the live clauses over them.
+  static constexpr uint32_t kLearntBit = 1;
+  static constexpr uint32_t kRemovedBit = 2;
+  uint32_t ClauseSize(CRef cref) const { return arena_[cref] >> 2; }
+  bool ClauseLearnt(CRef cref) const {
+    return (arena_[cref] & kLearntBit) != 0;
+  }
   Lit* ClauseLits(CRef cref) {
     return reinterpret_cast<Lit*>(&arena_[cref + 3]);
   }
@@ -154,7 +160,7 @@ class Solver {
   void SetClauseLbd(CRef cref, uint32_t lbd) { arena_[cref + 2] = lbd; }
   float ClauseActivity(CRef cref) const;
   void SetClauseActivity(CRef cref, float activity);
-  void ShrinkClause(CRef cref, uint32_t new_size);
+  static uint32_t ClauseWords(uint32_t size) { return 3 + size; }
   CRef AllocClause(std::span<const Lit> lits, bool learnt);
 
   // --- assignment / trail ----------------------------------------------
@@ -197,17 +203,29 @@ class Solver {
   void DetachClause(CRef cref);
   void RemoveClause(CRef cref);
   bool Locked(CRef cref) const;
+  // Ranks the learnt clauses worst-first and drops those in the worse half
+  // with LBD > 3.
   void ReduceDB();
   // Memory-pressure degradation (stage 1 of the governor's ladder): drops
-  // every expendable learnt clause — keeps binaries, glue (LBD <= 2), and
-  // locked clauses — then compacts the arena to actually return the bytes.
-  // Runs even with use_reduce_db off: under memory pressure, survival
-  // outranks the ablation setting.
+  // every removable learnt clause with LBD > 2, then always compacts and
+  // shrinks the arena, so the bytes go back now. Runs even with
+  // use_reduce_db off: under memory pressure, survival outranks the
+  // ablation setting.
   void ShedLearnts();
-  // Rebuilds the arena with only the live clauses and remaps every CRef
-  // (clause lists, reasons, watchers). The normal path never reclaims
-  // arena space; shedding exists to.
+  // The one removal routine behind ReduceDB and ShedLearnts: removes every
+  // unlocked learnt clause of size > 2 for which `removable(position,
+  // cref)` holds, keeping the survivors in order, then compacts the arena
+  // when `compact` is set or garbage exceeds kGarbageFraction of it.
+  template <typename Removable>
+  void RemoveLearnts(Removable removable, bool compact);
+  // Slides the live clauses down over the removed ones, in place and in
+  // arena order, and repoints every clause list entry, watcher and reason
+  // through forwarding CRefs written into the arena first. No list is
+  // reordered, so the search after a compaction is the same as without one.
   void CompactArena();
+  // MiniSat's garbage rule: compact once removed clauses hold this share
+  // of the arena's words.
+  static constexpr double kGarbageFraction = 0.2;
 
   // --- top-level search ---------------------------------------------------
   SolveResult Search(int64_t conflicts_budget);
@@ -217,6 +235,8 @@ class Solver {
   Statistics stats_;
 
   std::vector<uint32_t> arena_;
+  // Words of removed clauses still in arena_, reclaimed by CompactArena.
+  uint64_t wasted_ = 0;
   std::vector<CRef> clauses_;  // problem clauses
   std::vector<CRef> learnts_;
   uint64_t num_problem_clauses_ = 0;

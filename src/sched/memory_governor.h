@@ -11,7 +11,9 @@
 //   kNone     — under the shed threshold; nothing changes.
 //   kShed     — (>= 75% of budget by default) SAT solvers aggressively shed
 //               their learnt-clause databases and compact their arenas at
-//               the next reduce-DB checkpoint (Solver::ShedLearnts).
+//               the next reduce-DB checkpoint (Solver::ShedLearnts), rather
+//               than when garbage passes 20% of the arena as ordinary
+//               reduction does.
 //   kThrottle — (>= 90%) the BMC engine stops escalating stalled depths
 //               into cube-and-conquer fan-outs, which clone the solver once
 //               per worker (bmc.cube_throttled counts the skips).

@@ -1,10 +1,14 @@
 // BMC engine tests: reachability depth exactness, constraints, multiple bad
 // predicates, trace extraction and replay, uninitialized (symbolic) state,
-// arrays, and conflict budgets.
+// arrays, conflict budgets, and a pin on the solver's work.
 #include <gtest/gtest.h>
 
+#include "accel/memctrl.h"
+#include "aqed/fc_instrument.h"
 #include "bmc/engine.h"
 #include "ir/transition_system.h"
+#include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 
 namespace aqed::bmc {
 namespace {
@@ -218,6 +222,30 @@ TEST(TraceTest, FormatContainsInputsAndOutputs) {
   EXPECT_NE(text.find("stimulus="), std::string::npos);
   EXPECT_NE(text.find("observed="), std::string::npos);
   EXPECT_NE(text.find("reg3"), std::string::npos);
+}
+
+// Pins the solver's work on a refutation long enough that ReduceDB runs
+// eight times across its depths (depth 8 alone takes about 15k conflicts).
+// Any change to the search moves these counts; arena compaction must not.
+TEST(BmcTest, CleanFifoFcWorkIsPinned) {
+  ir::TransitionSystem ts;
+  const auto design = accel::BuildMemCtrl(ts, accel::MemCtrlConfig::kFifo);
+  const core::FcInstrumentation fc = core::InstrumentFc(ts, design.acc);
+  BmcOptions options;
+  options.max_bound = 8;
+  options.bad_filter = {fc.fc_bad_index};
+  const telemetry::Counter& propagations =
+      telemetry::MetricsRegistry::Global().counter("sat.propagations");
+  const uint64_t propagations_before = propagations.value();
+  telemetry::SetEnabled(true);
+  const BmcResult result = RunBmc(ts, options);
+  telemetry::SetEnabled(false);
+  EXPECT_EQ(result.outcome, BmcResult::Outcome::kBoundReached);
+  EXPECT_EQ(result.conflicts, 19494u);
+  EXPECT_EQ(result.decisions, 104788u);
+#if AQED_TELEMETRY_ENABLED
+  EXPECT_EQ(propagations.value() - propagations_before, 5189248u);
+#endif
 }
 
 }  // namespace

@@ -312,5 +312,16 @@ TEST(SolverStatsTest, CountersAdvance) {
   EXPECT_GT(solver.stats().propagations, 0u);
 }
 
+// Clauses that ReduceDB deletes give their arena words back: after a long
+// refutation the solver holds less than the literals it ever learnt.
+TEST(SolverStatsTest, ReducedLearntsLeaveTheArena) {
+  Solver solver;
+  AddPigeonhole(solver, 8);
+  EXPECT_EQ(solver.Solve(), SolveResult::kUnsat);
+  EXPECT_GE(solver.stats().reduce_db_rounds, 10u);
+  EXPECT_LT(solver.MemoryBytes(),
+            solver.stats().learnt_literals * sizeof(uint32_t));
+}
+
 }  // namespace
 }  // namespace aqed::sat
