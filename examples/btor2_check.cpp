@@ -7,6 +7,9 @@
 // and prints the verdict; counterexamples can be written as VCD waveforms.
 // This is the adoption path for users who have designs in standard formats
 // rather than in this library's C++ builder API.
+//
+// Exit codes: 0 clean, 1 counterexample, 2 bad usage or input, 3 unknown,
+// 4 checker error (a counterexample that failed simulator replay).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -20,6 +23,11 @@
 using namespace aqed;
 
 namespace {
+
+int CheckerError() {
+  std::printf("CHECKER ERROR: counterexample failed simulator replay\n");
+  return 4;
+}
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -90,6 +98,7 @@ int main(int argc, char** argv) {
                     kind_result.seconds);
         break;
       case bmc::KInductionResult::Outcome::kCounterexample:
+        if (!kind_result.trace_validated) return CheckerError();
         std::printf("COUNTEREXAMPLE: %s, %u cycles (%.3f s)\n",
                     kind_result.trace.bad_label.c_str(),
                     kind_result.trace.length(), kind_result.seconds);
@@ -108,6 +117,7 @@ int main(int argc, char** argv) {
     bmc_result = RunBmc(ts, options);
     switch (bmc_result.outcome) {
       case bmc::BmcResult::Outcome::kCounterexample:
+        if (!bmc_result.trace_validated) return CheckerError();
         std::printf("COUNTEREXAMPLE: %s, %u cycles (%.3f s, %llu "
                     "conflicts)\n",
                     bmc_result.trace.bad_label.c_str(),

@@ -160,16 +160,16 @@ struct SessionOptions {
   };
   CancelPolicy cancel = CancelPolicy::kEntry;
 
-  // Per-job wall-clock deadline in milliseconds (0 = none). A watchdog
-  // thread trips the job's cancellation token when the deadline expires;
-  // the job observes it at its next poll point (BMC depth boundary / SAT
-  // search loop) and reports kUnknown with reason kDeadline. This is what
-  // keeps one hard SAT instance from stalling a whole session.
+  // Per-job wall-clock deadline in milliseconds (0 = none). The session
+  // monitor (sched/monitor.h) trips the job's cancellation token when the
+  // deadline expires; the job observes it at its next poll point (BMC depth
+  // boundary / SAT search loop) and reports kUnknown with reason kDeadline.
+  // This is what keeps one hard SAT instance from stalling a whole session.
   uint32_t deadline_ms = 0;
 
-  // Process-RSS budget in MiB (0 = ungoverned). A governor thread
-  // (sched/memory_governor.h) polls the resource probes against this
-  // budget while Wait() runs and degrades in stages: at 75% solvers shed
+  // Process-RSS budget in MiB (0 = ungoverned). The session monitor
+  // (sched/monitor.h) polls the resource probes against this budget while
+  // Wait() runs and degrades in stages: at 75% solvers shed
   // learnt clauses and compact their arenas, at 90% the BMC engine stops
   // escalating into cube fan-outs, and at 100% the heaviest job is
   // cancelled with UnknownReason::kMemoryBudget (never retried) — a
@@ -188,7 +188,7 @@ struct SessionOptions {
   std::string metrics_path;
 
   // Flight-recorder sampling period in milliseconds (0 = off). When set —
-  // and telemetry is armed via the paths above — a background sampler
+  // and telemetry is armed via the paths above — the session monitor
   // snapshots the metrics registry and the process resource probes
   // (RSS / CPU time / thread count, telemetry/resource.h) every period
   // while Wait() runs; the samples are exported as the `timeseries`

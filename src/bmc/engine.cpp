@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "sat/cube.h"
-#include "sched/memory_governor.h"
+#include "sched/memory_pressure.h"
 #include "sched/thread_pool.h"
 #include "support/failpoint.h"
 #include "support/stats.h"
@@ -170,7 +170,7 @@ DepthQuery SolveWithEscalation(sat::Solver& main_solver, sat::Lit target,
     return query;
   }
 
-  // Governor stage 2: a cube fan-out clones the incremental solver once
+  // Pressure stage 2: a cube fan-out clones the incremental solver once
   // per worker — the worst possible move near the memory budget. Keep the
   // stalled monolithic verdict instead; the depth reports kUnknown with
   // the budget reason and the session's retry policy takes it from there.

@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "support/failpoint.h"
 #include "support/stats.h"
 #include "support/status.h"
 
@@ -54,7 +55,13 @@ KInductionResult RunKInduction(const ir::TransitionSystem& ts,
     const sat::Lit base_bad = any_bad(base_gates, base, depth);
     if (!base_gates.IsFalse(base_bad) && !base_solver.inconsistent()) {
       const sat::Lit assumptions[] = {base_bad};
-      if (base_solver.Solve(assumptions) == sat::SolveResult::kSat) {
+      const sat::SolveResult base_result = base_solver.Solve(assumptions);
+      if (base_result == sat::SolveResult::kUnknown) {
+        // A budget or cancellation stopped the base case: without it no
+        // step result means anything, so the run is inconclusive.
+        break;
+      }
+      if (base_result == sat::SolveResult::kSat) {
         // Identify which bad fired and extract the witness.
         uint32_t hit = targets[0];
         for (uint32_t bad_index : targets) {
@@ -67,10 +74,11 @@ KInductionResult RunKInduction(const ir::TransitionSystem& ts,
         result.outcome = KInductionResult::Outcome::kCounterexample;
         result.k = k;
         result.trace = base.ExtractTrace(base_solver.model(), depth + 1, hit);
+        // A failed replay is reported (trace_validated == false), never an
+        // abort; the failpoint fails it on purpose, as in RunBmc.
         if (options.validate_counterexamples) {
-          result.trace_validated = ReplayTrace(ts, result.trace);
-          AQED_CHECK(result.trace_validated,
-                     "k-induction counterexample failed replay");
+          result.trace_validated =
+              !AQED_FAILPOINT("bmc.replay") && ReplayTrace(ts, result.trace);
         }
         result.seconds = stopwatch.ElapsedSeconds();
         return result;

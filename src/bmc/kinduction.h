@@ -39,11 +39,14 @@ struct KInductionResult {
   enum class Outcome {
     kProved,          // the bad states are unreachable at every depth
     kCounterexample,  // reachable: `trace` holds the witness
-    kUnknown,         // not (k-)inductive within max_k
+    kUnknown,         // not (k-)inductive within max_k, or a base case
+                      // was stopped by a budget or cancellation
   };
   Outcome outcome = Outcome::kUnknown;
   uint32_t k = 0;  // proof induction depth / counterexample depth
   Trace trace;
+  // The witness replayed on the simulator. False on a counterexample means
+  // the replay failed: a checker error, not a design verdict.
   bool trace_validated = false;
   double seconds = 0;
 

@@ -3,8 +3,9 @@
 // A DecomposedSession turns a Decomposition into one verification job per
 // sub-accelerator and runs them on a sched::VerificationSession — so a
 // decomposed check inherits the whole scheduling stack for free: the worker
-// pool, first-bug-wins cancellation (SessionOptions::cancel), the deadline
-// watchdog, escalating-budget retries, the memory governor, and telemetry.
+// pool, first-bug-wins cancellation (SessionOptions::cancel), the session
+// monitor's deadlines and memory budget, escalating-budget retries, and
+// telemetry.
 // The per-sub verdicts fold into one DecompositionResult carrying the cut
 // coverage report.
 //

@@ -1,5 +1,6 @@
 #include "ir/btor2.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <istream>
 #include <map>
@@ -243,8 +244,9 @@ namespace {
 
 // Line-oriented BTOR2 reader covering the operator subset this library
 // emits. Structural errors (unknown ids, unsupported keywords, malformed
-// values) are reported via Status; type errors surface through the final
-// TransitionSystem::Validate().
+// values) and operands the Context/TransitionSystem builders would abort on
+// (ill-sorted or out-of-range) are reported via Status; remaining type
+// errors surface through the final TransitionSystem::Validate().
 class Btor2Reader {
  public:
   explicit Btor2Reader(std::istream& in) : in_(in) {}
@@ -306,6 +308,9 @@ class Btor2Reader {
       if (Status status = LookupNode(tok[4], value); !status.ok()) {
         return status;
       }
+      if (ts_->ctx().node(state).op != Op::kState) {
+        return Status::Error("init target is not a state");
+      }
       if (ts_->ctx().node(value).op != Op::kConst) {
         return Status::Error("only constant init values are supported");
       }
@@ -321,6 +326,13 @@ class Btor2Reader {
       if (Status status = LookupNode(tok[4], next); !status.ok()) {
         return status;
       }
+      const Context& ctx = ts_->ctx();
+      if (ctx.node(state).op != Op::kState) {
+        return Status::Error("next target is not a state");
+      }
+      if (ctx.sort(state) != ctx.sort(next)) {
+        return Status::Error("next sort differs from its state's");
+      }
       ts_->SetNext(state, next);
       return Status::Ok();
     }
@@ -328,6 +340,9 @@ class Btor2Reader {
       NodeRef node = kNullNode;
       if (Status status = LookupNode(tok[2], node); !status.ok()) {
         return status;
+      }
+      if (kind != "output" && ts_->ctx().sort(node) != Sort::BitVec(1)) {
+        return Status::Error(kind + " operand is not 1 bit");
       }
       if (kind == "constraint") {
         ts_->AddConstraint(node);
@@ -425,6 +440,10 @@ class Btor2Reader {
       }
       operand.push_back(node);
     }
+    if (!OperandsWellFormed(kind, operand, literal)) {
+      return Status::Error("ill-sorted or out-of-range operands for '" +
+                           kind + "'");
+    }
     Context& ctx = ts_->ctx();
     auto need = [&](size_t n) { return operand.size() == n; };
     NodeRef result = kNullNode;
@@ -476,6 +495,51 @@ class Btor2Reader {
     }
     nodes_[id] = result;
     return Status::Ok();
+  }
+
+  // The Context builders AQED_CHECK their operands (a malformed node is a
+  // programming error there); input must be screened first. Shapes that no
+  // builder accepts fall through to "unsupported operation".
+  bool OperandsWellFormed(const std::string& kind,
+                          const std::vector<NodeRef>& operand,
+                          const std::vector<uint64_t>& literal) const {
+    const Context& ctx = ts_->ctx();
+    const auto sort = [&](size_t i) { return ctx.sort(operand[i]); };
+    const auto bitvec = [&](size_t i) { return sort(i).is_bitvec(); };
+    if (kind == "ite" && operand.size() == 3) {
+      return sort(0) == Sort::BitVec(1) && sort(1) == sort(2);
+    }
+    if (kind == "slice" && operand.size() == 1 && literal.size() == 2) {
+      return bitvec(0) && literal[1] <= literal[0] &&
+             literal[0] < sort(0).width;
+    }
+    if ((kind == "uext" || kind == "sext") && operand.size() == 1 &&
+        literal.size() == 1) {
+      return bitvec(0) && literal[0] <= kMaxWidth - sort(0).width;
+    }
+    if (kind == "concat" && operand.size() == 2) {
+      return bitvec(0) && bitvec(1) &&
+             sort(0).width + sort(1).width <= kMaxWidth;
+    }
+    if (kind == "read" && operand.size() == 2) {
+      return sort(0).is_array() &&
+             sort(1) == Sort::BitVec(sort(0).index_width);
+    }
+    if (kind == "write" && operand.size() == 3) {
+      return sort(0).is_array() &&
+             sort(1) == Sort::BitVec(sort(0).index_width) &&
+             sort(2) == Sort::BitVec(sort(0).elem_width);
+    }
+    if (kind == "sll" || kind == "srl" || kind == "sra") {
+      return std::all_of(operand.begin(), operand.end(), [&](NodeRef node) {
+        return ctx.sort(node).is_bitvec();
+      });
+    }
+    if (operand.size() == 2) {  // eq/neq on any sort, the rest bitvectors
+      return sort(0) == sort(1) &&
+             (bitvec(0) || kind == "eq" || kind == "neq");
+    }
+    return operand.size() != 1 || bitvec(0);
   }
 
   static Status ParseUint(const std::string& text, uint64_t& out) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sched/memory_governor.h"
+#include "sched/memory_pressure.h"
 #include "support/failpoint.h"
 #include "support/status.h"
 #include "telemetry/metrics.h"
@@ -551,7 +551,7 @@ uint64_t Solver::MemoryBytes() const {
   // Constant-time: capacities of the big flat arrays plus a per-variable
   // constant covering assigns/model/polarity/activity/reason/level/heap/
   // seen and the two watch-list headers, plus two watchers per attached
-  // clause. An estimate — the governor ranks jobs, it doesn't bill them.
+  // clause. An estimate — the monitor ranks jobs, it doesn't bill them.
   const uint64_t per_var = 2 * sizeof(LBool) + 1 + sizeof(double) +
                            sizeof(CRef) + sizeof(uint32_t) + sizeof(Var) +
                            sizeof(uint32_t) + 1 +
@@ -631,7 +631,7 @@ SolveResult Solver::Search(int64_t conflicts_budget) {
     }
     if (sched::CurrentMemoryPressure() >= sched::MemoryPressure::kShed &&
         learnts_.size() >= shed_floor_) {
-      // Governor stage 1: shed the learnt database and compact the arena
+      // Pressure stage 1: shed the learnt database and compact the arena
       // regardless of use_reduce_db — memory pressure outranks ablation.
       ShedLearnts();
     } else if (options_.use_reduce_db &&
@@ -736,7 +736,7 @@ SolveResult Solver::Solve(std::span<const Lit> assumptions,
   SolveResult result = SolveResult::kUnknown;
   for (uint64_t restart = 0; result == SolveResult::kUnknown; ++restart) {
     if (options_.cancel.cancelled()) break;
-    // Refresh the governor's view of this job's footprint once per
+    // Refresh the monitor's view of this job's footprint once per
     // restart: frequent enough to rank jobs honestly, far off the
     // per-decision hot path.
     sched::PublishSolverMemory(MemoryBytes());

@@ -61,7 +61,7 @@ class Solver {
     uint64_t minimized_literals = 0;  // removed by clause minimization
     uint64_t reduce_db_rounds = 0;
     // Memory-pressure shed rounds (ShedLearnts + arena compaction) taken
-    // because the session's memory governor published kShed or worse.
+    // because the session monitor published kShed or worse.
     uint64_t shed_rounds = 0;
     // Why the most recent Solve() returned kUnknown (kNone when it returned
     // kSat/kUnsat): conflict-budget exhaustion, a tripped deadline watchdog,
@@ -129,8 +129,8 @@ class Solver {
 
   // Constant-time estimate of the solver's heap footprint in bytes —
   // arena, clause lists, per-variable structures, watcher storage. This is
-  // what Solve publishes to the memory governor at restart boundaries
-  // (sched::PublishSolverMemory), so the governor's heaviest-job choice
+  // what Solve publishes to the session monitor at restart boundaries
+  // (sched::PublishSolverMemory), so the monitor's heaviest-job choice
   // tracks the solvers that actually own the memory.
   uint64_t MemoryBytes() const;
 
@@ -206,7 +206,7 @@ class Solver {
   // Ranks the learnt clauses worst-first and drops those in the worse half
   // with LBD > 3.
   void ReduceDB();
-  // Memory-pressure degradation (stage 1 of the governor's ladder): drops
+  // Memory-pressure degradation (stage 1 of the memory-pressure ladder): drops
   // every removable learnt clause with LBD > 2, then always compacts and
   // shrinks the arena, so the bytes go back now. Runs even with
   // use_reduce_db off: under memory pressure, survival outranks the

@@ -4,8 +4,9 @@
 // Tokens are cheap to copy, safe to poll from any thread, and are threaded
 // through the long-running loops of the stack (the BMC depth loop and the
 // SAT solver's search loop) so that a session can stop sibling jobs the
-// moment one of them finds a bug ("first-bug-wins"), and so that a deadline
-// watchdog can stop a job whose wall-clock budget ran out.
+// moment one of them finds a bug ("first-bug-wins"), and so that the session
+// monitor (sched/monitor.h) can stop a job whose wall-clock deadline or
+// memory budget ran out.
 //
 // Cancellation is strictly cooperative and monotonic: once a source is
 // cancelled it stays cancelled, and a job observes it at its next poll
@@ -50,8 +51,8 @@ inline UnknownReason UnknownReasonFromCancel(CancelReason reason) {
 // Observer half. A default-constructed token is never cancelled (the common
 // case for standalone RunBmc / Solver use outside a session). A token may
 // observe up to kMaxFlags flags (see CancellationToken::Any) so a job can
-// honor its entry-local source, a session-wide source, its deadline
-// watchdog, and the memory governor at once.
+// honor its entry-local source, a session-wide source and its session
+// monitor registration (deadline or memory budget) at once.
 class CancellationToken {
  public:
   CancellationToken() = default;
@@ -85,9 +86,8 @@ class CancellationToken {
 
   // A token cancelled when either input token is. The combined token keeps
   // up to kMaxFlags distinct flags (the deepest stack is the cube layer:
-  // session + entry + per-job deadline + per-job memory governor +
-  // first-SAT-wins cube winner); further flags of the second operand are
-  // dropped.
+  // session + entry + the job's monitor registration + first-SAT-wins cube
+  // winner); further flags of the second operand are dropped.
   static CancellationToken Any(const CancellationToken& x,
                                const CancellationToken& y) {
     CancellationToken token;
@@ -104,7 +104,7 @@ class CancellationToken {
  private:
   friend class CancellationSource;
   using Flag = std::shared_ptr<const std::atomic<uint8_t>>;
-  static constexpr size_t kMaxFlags = 5;
+  static constexpr size_t kMaxFlags = 4;
 
   explicit CancellationToken(Flag flag) { flags_[0] = std::move(flag); }
 

@@ -15,7 +15,8 @@
 namespace aqed::sched {
 
 VerificationSession::VerificationSession(core::SessionOptions options)
-    : options_(options) {
+    : options_(options),
+      monitor_(options.memory_budget_mb, options.sample_period_ms) {
   // Same screening whether the options were struct-poked or Builder-made:
   // an incoherent scheduling configuration (see SessionOptions::Validate)
   // fails at construction, not as a silent no-op mid-campaign.
@@ -110,21 +111,14 @@ void VerificationSession::RunJob(const PendingJob& job, core::JobResult& out) {
     return;
   }
   LiveJobGauge live_job;
-  // Arm the wall-clock watchdog for this attempt; the guard disarms it the
-  // moment the job returns, so a finished job can never be tripped late.
-  CancellationSource deadline_source;
-  Watchdog::Guard deadline_guard;
-  if (job.deadline_ms > 0) {
-    deadline_guard = watchdog_.Arm(deadline_source, job.deadline_ms);
-    token = CancellationToken::Any(token, deadline_source.token());
-  }
-  // Register with the memory governor (when the session is budgeted) so
-  // the job can be shed at stage 3 and its solver footprint is attributed
-  // to it. RAII like the deadline guard: a finished job is never shed late.
-  MemoryGovernor::JobScope governor_scope;
-  if (governor_ != nullptr) {
-    governor_scope = governor_->Register(job.label);
-    token = CancellationToken::Any(token, governor_scope.token());
+  // Register with the monitor when this attempt has a deadline or the
+  // session a memory budget: the job can then be tripped or shed, and its
+  // solver footprint is attributed to it. The scope is released the moment
+  // the job returns, so a finished job is never tripped or shed late.
+  SessionMonitor::JobScope monitor_scope;
+  if (job.deadline_ms > 0 || options_.memory_budget_mb > 0) {
+    monitor_scope = monitor_.Register(job.label, job.deadline_ms);
+    token = CancellationToken::Any(token, monitor_scope.token());
   }
   // One span per executed attempt: this is the busy-time unit of the
   // Perfetto view, so per-thread job spans account for (almost) all of a
@@ -147,7 +141,7 @@ void VerificationSession::RunJob(const PendingJob& job, core::JobResult& out) {
         options_.jobs == 0 ? ThreadPool::HardwareJobs() : options_.jobs;
   }
   out.result = core::RunAqed(*ts, acc, options);
-  deadline_guard.Disarm();
+  monitor_scope.Release();
   out.wall_seconds = watch.ElapsedSeconds();
   // A counterexample that fails simulator replay is a checker bug, never a
   // design verdict: demote it to a hard per-job failure. It must not win
@@ -281,28 +275,17 @@ core::SessionResult VerificationSession::Wait() {
       if (telemetry::Enabled()) session->ExportTelemetry();
     }
   } export_guard{this};
-  // A budgeted session runs its governor thread only while Wait() executes
-  // jobs; the guard stops it on every exit (and resets the published
-  // pressure), so no pressure level outlives the session round.
-  if (options_.memory_budget_mb > 0 && governor_ == nullptr) {
-    MemoryGovernor::Options governor_options;
-    governor_options.budget_mb = options_.memory_budget_mb;
-    governor_ = std::make_unique<MemoryGovernor>(governor_options);
-  }
-  struct GovernorGuard {
-    MemoryGovernor* governor;
-    ~GovernorGuard() {
-      if (governor != nullptr) governor->Stop();
-    }
-  } governor_guard{governor_.get()};
-  if (governor_ != nullptr) governor_->Start();
-  if (options_.sample_period_ms > 0 && telemetry::Enabled()) {
-    if (sampler_ == nullptr) {
-      telemetry::SamplerOptions sampler_options;
-      sampler_options.period_ms = options_.sample_period_ms;
-      sampler_ = std::make_unique<telemetry::Sampler>(sampler_options);
-    }
-    sampler_->Start();
+  // The monitor runs only while Wait() executes jobs, and only when the
+  // session arms a duty. The guard stops it on every exit, before the
+  // export: no pressure level outlives the session round, and the final
+  // flight-recorder sample lands in the exported samples.
+  struct MonitorGuard {
+    SessionMonitor& monitor;
+    ~MonitorGuard() { monitor.Stop(); }
+  } monitor_guard{monitor_};
+  if (options_.deadline_ms > 0 || options_.memory_budget_mb > 0 ||
+      (options_.sample_period_ms > 0 && telemetry::Enabled())) {
+    monitor_.Start();
   }
   telemetry::Span span("sched.session.wait");
   Stopwatch watch;
@@ -339,11 +322,8 @@ core::SessionResult VerificationSession::Wait() {
 }
 
 void VerificationSession::ExportTelemetry() {
-  if (sampler_ != nullptr) {
-    sampler_->Stop();
-    std::vector<telemetry::TimeSeriesSample> samples = sampler_->TakeSamples();
-    std::move(samples.begin(), samples.end(), std::back_inserter(samples_));
-  }
+  std::vector<telemetry::TimeSeriesSample> samples = monitor_.TakeSamples();
+  std::move(samples.begin(), samples.end(), std::back_inserter(samples_));
   std::vector<telemetry::TraceEvent> events =
       telemetry::Tracer::Global().Drain();
   std::move(events.begin(), events.end(), std::back_inserter(trace_log_));

@@ -8,13 +8,17 @@
 // stop via a CancellationToken threaded into the BMC depth loop and the SAT
 // solver's search loop.
 //
-// Resource governance (SessionOptions::deadline_ms / retry): each job can
-// carry a wall-clock deadline, enforced by a watchdog thread that trips the
-// job's cancellation token; jobs that come back kUnknown because a budget
-// or deadline ran out are re-queued with doubled budgets (up to the
-// configured caps and retry count). This is what makes thousand-job fault
-// campaigns survivable: one hard SAT instance costs one deadline, not the
-// whole session.
+// Resource governance (SessionOptions::deadline_ms, memory_budget_mb,
+// retry): each job can carry a wall-clock deadline and the session a memory
+// budget, both enforced by the session monitor (sched/monitor.h), which
+// also runs the flight recorder (sample_period_ms). The monitor is one
+// thread, started by Wait() only when the session arms one of those three
+// duties; each job registers with it once and its one cancellation source
+// fires with kDeadline or kMemoryBudget. Jobs that come back kUnknown
+// because a conflict budget or deadline ran out are re-queued with doubled
+// budgets (up to the configured caps and retry count). This is what makes
+// thousand-job fault campaigns survivable: one hard SAT instance costs one
+// deadline, not the whole session.
 //
 // This is the scheduling layer the functional-decomposition follow-up work
 // builds on: A-QED scales by splitting one verification problem into many
@@ -32,15 +36,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "aqed/checker.h"
 #include "sched/cancellation.h"
-#include "sched/memory_governor.h"
-#include "sched/watchdog.h"
-#include "telemetry/sampler.h"
+#include "sched/monitor.h"
+#include "telemetry/export.h"
 #include "telemetry/trace.h"
 
 namespace aqed::sched {
@@ -115,18 +117,14 @@ class VerificationSession {
   std::vector<CancellationSource> entry_sources_;  // indexed by entry
   std::vector<PendingJob> pending_;
   size_t num_entries_ = 0;
-  Watchdog watchdog_;  // lazily threaded; idle unless deadlines are set
-  // Memory governor (SessionOptions::memory_budget_mb): created on the
-  // first Wait() of a governed session; its poll thread runs only while
-  // Wait() executes jobs. Null when ungoverned.
-  std::unique_ptr<MemoryGovernor> governor_;
+  // Deadlines, memory budget and flight recorder; its thread runs only
+  // while Wait() executes jobs of a session that arms one of them.
+  SessionMonitor monitor_;
   // Session-owned span log: every event drained so far, accumulated across
   // Wait() calls so the exported trace covers the whole session.
   std::vector<telemetry::TraceEvent> trace_log_;
-  // Flight recorder (SessionOptions::sample_period_ms): runs while Wait()
-  // executes jobs; drained samples accumulate across Wait() calls like the
-  // span log. Null when sampling is off (or compiled out).
-  std::unique_ptr<telemetry::Sampler> sampler_;
+  // Flight-recorder samples drained from the monitor, accumulated across
+  // Wait() calls like the span log.
   std::vector<telemetry::TimeSeriesSample> samples_;
 };
 

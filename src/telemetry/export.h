@@ -11,7 +11,7 @@
 // with a three-line python loop. When the session flight recorder ran, the
 // instrument lines are followed by a `timeseries` section: one "sample"
 // line per flight-recorder sample (registry counters/gauges plus resource
-// probes, see telemetry/sampler.h). ReadMetricsLog() round-trips what
+// probes, recorded by sched/monitor.h). ReadMetricsLog() round-trips what
 // WriteMetricsJsonl() emits (see tests/telemetry_test.cpp).
 #pragma once
 
@@ -22,10 +22,21 @@
 #include <vector>
 
 #include "telemetry/metrics.h"
-#include "telemetry/sampler.h"
+#include "telemetry/resource.h"
 #include "telemetry/trace.h"
 
 namespace aqed::telemetry {
+
+// One flight-recorder sample: registry counters/gauges plus the resource
+// probes at one instant. Histograms are deliberately not sampled — they are
+// cumulative and land once in the final snapshot; per-sample bucket arrays
+// would multiply the export size for no chart.
+struct TimeSeriesSample {
+  uint64_t timestamp_us = 0;  // NowMicros() at the sample
+  ResourceUsage resources;
+  std::vector<MetricsSnapshot::CounterValue> counters;
+  std::vector<MetricsSnapshot::GaugeValue> gauges;
+};
 
 // Serializes `events` as a Chrome trace: {"traceEvents":[...]}. Events are
 // written sorted by (tid, begin_us) — stable rows in viewers that honor

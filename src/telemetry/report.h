@@ -7,9 +7,9 @@
 // which jobs ran and what they concluded (verdict table from the
 // sched.job spans), where the latency mass sits (histogram charts), how
 // BMC depth and RSS evolved over the run (time-series charts from the
-// sampler), and which individual spans dominated (top-N table). Everything
-// is inline CSS + inline SVG; the file opens anywhere, attaches to CI
-// artifacts, and references nothing over the network.
+// flight recorder), and which individual spans dominated (top-N table).
+// Everything is inline CSS + inline SVG; the file opens anywhere, attaches
+// to CI artifacts, and references nothing over the network.
 #pragma once
 
 #include <cstdint>

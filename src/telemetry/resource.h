@@ -1,6 +1,6 @@
 // Process resource probes: memory, CPU time, and thread count.
 //
-// The flight recorder (src/telemetry/sampler.h) samples these alongside the
+// The flight recorder (src/sched/monitor.h) samples these alongside the
 // metrics registry so a session's time series carries the two axes the
 // A-QED scaling literature actually plots — solver effort and memory
 // footprint against wall time (BMC blow-up is a *resource* failure long

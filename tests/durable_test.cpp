@@ -19,7 +19,7 @@
 #include "fault/campaign.h"
 #include "fault/journal.h"
 #include "sat/solver.h"
-#include "sched/memory_governor.h"
+#include "sched/memory_pressure.h"
 #include "sched/session.h"
 #include "support/failpoint.h"
 #include "support/io.h"

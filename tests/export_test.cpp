@@ -158,6 +158,18 @@ TEST(Btor2Test, ImportRejectsMalformedInput) {
   EXPECT_FALSE(ir::ImportBtor2String("1 sort bitvec 4\n2 add 1 9 9\n").ok());
   EXPECT_FALSE(ir::ImportBtor2String("x sort bitvec 4\n").ok());
   EXPECT_FALSE(ir::ImportBtor2String("1 sort bitvec 4\n2 constd 1 zz\n").ok());
+  // Operands the IR builders would abort on must fail as a Status.
+  const std::string byte = "1 sort bitvec 8\n";
+  for (const char* body : {
+           "2 input 1\n3 add 1 2 2\n4 slice 1 3 20 0\n",  // slice past msb
+           "2 input 1\n3 slice 1 2 3 5\n",                // hi below lo
+           "2 input 1\n3 ite 1 2 2 2\n",    // 8-bit ite condition
+           "2 input 1\n3 bad 2\n",          // 8-bit bad
+           "2 input 1\n3 constraint 2\n",   // 8-bit constraint
+           "2 state 1\n3 next 1 -2 2\n",    // next of a non-state
+       }) {
+    EXPECT_FALSE(ir::ImportBtor2String(byte + body).ok()) << body;
+  }
 }
 
 TEST(Btor2Test, ImportSupportsNegatedOperandsAndNamedConstants) {

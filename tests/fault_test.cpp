@@ -1,12 +1,8 @@
 // Fault-injection engine and resource-governance tests: deterministic
-// mutant enumeration/sampling, mutant validity and observability, the
-// deadline watchdog, UNKNOWN reason codes through solver/BMC/session, the
-// escalating-budget retry policy, and campaign classification determinism
-// across worker counts.
+// mutant enumeration/sampling, mutant validity and observability, UNKNOWN
+// reason codes through solver/BMC/session, the escalating-budget retry
+// policy, and campaign classification determinism across worker counts.
 #include <gtest/gtest.h>
-
-#include <chrono>
-#include <thread>
 
 #include "accel/dataflow.h"
 #include "accel/memctrl.h"
@@ -17,7 +13,6 @@
 #include "fault/mutator.h"
 #include "sched/cancellation.h"
 #include "sched/session.h"
-#include "sched/watchdog.h"
 #include "sim/simulator.h"
 
 namespace aqed::fault {
@@ -193,43 +188,6 @@ TEST(MutatorTest, MutantBuilderMatchesApplyMutant) {
     EXPECT_EQ(via_apply.states().size(), via_builder.states().size());
     EXPECT_NE(built_acc.out_valid, ir::kNullNode);
   }
-}
-
-// --- watchdog ----------------------------------------------------------------
-
-TEST(WatchdogTest, TripsTheSourceWithDeadlineReason) {
-  sched::Watchdog watchdog;
-  sched::CancellationSource source;
-  const auto guard = watchdog.Arm(source, 5);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(10);
-  while (!source.cancelled() &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(source.cancelled());
-  EXPECT_EQ(source.token().reason(), sched::CancelReason::kDeadline);
-  EXPECT_EQ(sched::UnknownReasonFromCancel(source.token().reason()),
-            UnknownReason::kDeadline);
-}
-
-TEST(WatchdogTest, DisarmedGuardNeverFires) {
-  sched::Watchdog watchdog;
-  sched::CancellationSource source;
-  {
-    auto guard = watchdog.Arm(source, 30);
-    guard.Disarm();
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_FALSE(source.cancelled());
-}
-
-TEST(WatchdogTest, GuardDestructorDisarms) {
-  sched::Watchdog watchdog;
-  sched::CancellationSource source;
-  { const auto guard = watchdog.Arm(source, 30); }
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_FALSE(source.cancelled());
 }
 
 // --- UNKNOWN reason codes ----------------------------------------------------

@@ -6,6 +6,8 @@
 #include "accel/dataflow.h"
 #include "aqed/rb_instrument.h"
 #include "bmc/kinduction.h"
+#include "sched/cancellation.h"
+#include "support/failpoint.h"
 
 namespace aqed::bmc {
 namespace {
@@ -40,6 +42,44 @@ TEST(KInductionTest, ReachableBadReportedAsCounterexample) {
   EXPECT_EQ(result.trace.length(), 7u);  // same minimal witness as BMC
   EXPECT_TRUE(result.trace_validated);
 }
+
+// A 1-bit toggle whose bad state (x == 1) is reachable at depth 1.
+ir::TransitionSystem MakeToggleSystem() {
+  ir::TransitionSystem ts;
+  auto& ctx = ts.ctx();
+  const NodeRef x = ts.AddState("x", Sort::BitVec(1), 0);
+  ts.SetNext(x, ctx.Not(x));
+  ts.AddBad(ctx.Eq(x, ctx.Const(1, 1)), "x_is_1");
+  return ts;
+}
+
+// A base case the solver could not decide must not count as passed: the
+// run is inconclusive, neither a proof nor (with a reachable bad) a crash.
+TEST(KInductionTest, UndecidedBaseCaseEndsUnknown) {
+  const auto ts = MakeToggleSystem();
+  sched::CancellationSource source;
+  source.Cancel();
+  KInductionOptions options;
+  options.solver_options.cancel = source.token();
+  const auto result = RunKInduction(ts, options);
+  EXPECT_EQ(result.outcome, KInductionResult::Outcome::kUnknown);
+}
+
+#if AQED_FAILPOINTS_ENABLED
+// A counterexample that fails simulator replay is reported as such (a
+// checker error for the caller), not an abort.
+TEST(KInductionTest, FailedReplayIsReportedNotFatal) {
+  const auto ts = MakeToggleSystem();
+  support::failpoint::Arm(
+      "bmc.replay", {support::FailpointAction::kReturnError, /*skip=*/0,
+                     /*limit=*/0});
+  const auto result = RunKInduction(ts, {});
+  support::failpoint::DisarmAll();
+  ASSERT_EQ(result.outcome, KInductionResult::Outcome::kCounterexample);
+  EXPECT_FALSE(result.trace_validated);
+  EXPECT_EQ(result.trace.length(), 2u);
+}
+#endif  // AQED_FAILPOINTS_ENABLED
 
 // Transition structure 0->2->0 (reachable) and 1->3, 3->1 (unreachable);
 // bad = (c == 3). Not 1-inductive (1 -> 3), but 2-inductive: the only

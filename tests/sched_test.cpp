@@ -1,26 +1,32 @@
 // Scheduler tests: cancellation primitives, the FIFO thread pool, BMC's
-// cooperative cancellation, and VerificationSession semantics — job
+// cooperative cancellation, the session monitor's deadline and
+// flight-recorder duties, and VerificationSession semantics — job
 // expansion, first-bug-wins cancellation across entries, policy scoping,
-// and verdict stability across worker counts.
+// the monitor's one thread, and verdict stability across worker counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "accel/motivating.h"
 #include "aqed/checker.h"
 #include "aqed/monitor_util.h"
 #include "bmc/engine.h"
 #include "sched/cancellation.h"
+#include "sched/monitor.h"
 #include "sched/session.h"
 #include "sched/thread_pool.h"
 #include "telemetry/export.h"
 #include "telemetry/report.h"
+#include "telemetry/resource.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -155,6 +161,149 @@ core::AcceleratorBuilder ToyBuilder(bool early_output) {
   };
 }
 
+// --- session monitor: deadlines ---------------------------------------------
+
+// Polls `done` every millisecond for up to `limit`; true once it holds.
+template <typename Pred>
+bool WaitFor(Pred done, std::chrono::seconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(WatchdogTest, TripsTheSourceWithDeadlineReason) {
+  SessionMonitor monitor;
+  monitor.Start();
+  const auto scope = monitor.Register("job", 5);
+  const CancellationToken token = scope.token();
+  ASSERT_TRUE(WaitFor([&] { return token.cancelled(); },
+                      std::chrono::seconds(10)));
+  EXPECT_EQ(token.reason(), CancelReason::kDeadline);
+  EXPECT_EQ(UnknownReasonFromCancel(token.reason()), UnknownReason::kDeadline);
+}
+
+TEST(WatchdogTest, DisarmedGuardNeverFires) {
+  SessionMonitor monitor;
+  monitor.Start();
+  CancellationToken token;
+  {
+    auto scope = monitor.Register("job", 30);
+    token = scope.token();
+    scope.Release();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  EXPECT_FALSE(token.cancelled());
+}
+
+TEST(WatchdogTest, GuardDestructorDisarms) {
+  SessionMonitor monitor;
+  monitor.Start();
+  CancellationToken token;
+  {
+    const auto scope = monitor.Register("job", 30);
+    token = scope.token();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  EXPECT_FALSE(token.cancelled());
+}
+
+// --- session monitor: flight recorder ----------------------------------------
+
+// Arms the process-wide telemetry switch (the monitor samples only with
+// telemetry on) and restores it afterwards.
+struct TelemetryOn {
+  TelemetryOn() : was_enabled(telemetry::Enabled()) {
+    telemetry::SetEnabled(true);
+  }
+  ~TelemetryOn() { telemetry::SetEnabled(was_enabled); }
+  bool was_enabled;
+};
+
+#if AQED_TELEMETRY_ENABLED
+
+TEST(SamplerTest, BracketsTheRunAndSnapshotsTheRegistry) {
+  TelemetryOn telemetry_on;
+  telemetry::MetricsRegistry registry;
+  registry.counter("s.counter").Add(7);
+  registry.gauge("s.gauge").Set(3);
+  SessionMonitor monitor(/*memory_budget_mb=*/0, /*sample_period_ms=*/1,
+                         &registry);
+  EXPECT_FALSE(monitor.running());
+  monitor.Start();
+  EXPECT_TRUE(monitor.running());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  monitor.Stop();
+  EXPECT_FALSE(monitor.running());
+
+  const auto samples = monitor.TakeSamples();
+  // At least the immediate start sample and the final stop sample.
+  ASSERT_GE(samples.size(), 2u);
+  for (size_t i = 1; i < samples.size(); ++i) {
+    EXPECT_GE(samples[i].timestamp_us, samples[i - 1].timestamp_us);
+  }
+  ASSERT_EQ(samples.front().counters.size(), 1u);
+  EXPECT_EQ(samples.front().counters[0].name, "s.counter");
+  EXPECT_EQ(samples.front().counters[0].value, 7u);
+  ASSERT_EQ(samples.front().gauges.size(), 1u);
+  EXPECT_EQ(samples.front().gauges[0].value, 3);
+  EXPECT_EQ(monitor.num_dropped(), 0u);
+  // TakeSamples moves the ring out.
+  EXPECT_TRUE(monitor.TakeSamples().empty());
+}
+
+TEST(SamplerTest, RingDropsOldestPastCapacity) {
+  TelemetryOn telemetry_on;
+  telemetry::MetricsRegistry registry;
+  SessionMonitor monitor(0, 1, &registry);
+  monitor.Start();
+  // One sample per millisecond fills the ring in a few seconds.
+  EXPECT_TRUE(WaitFor([&] { return monitor.num_dropped() > 0; },
+                      std::chrono::seconds(120)));
+  monitor.Stop();
+  EXPECT_GT(monitor.num_dropped(), 0u);
+  const auto samples = monitor.TakeSamples();
+  ASSERT_EQ(samples.size(), SessionMonitor::kSampleCapacity);
+  for (size_t i = 1; i < samples.size(); ++i) {
+    EXPECT_GE(samples[i].timestamp_us, samples[i - 1].timestamp_us);
+  }
+}
+
+TEST(SamplerTest, ConcurrentStopCallsAreSafe) {
+  TelemetryOn telemetry_on;
+  telemetry::MetricsRegistry registry;
+  // Racing Stop()s must not double-join (or join a moved-from thread, which
+  // throws std::system_error); exactly one caller records the final sample.
+  for (int round = 0; round < 20; ++round) {
+    SessionMonitor monitor(0, 1, &registry);
+    monitor.Start();
+    std::vector<std::thread> stoppers;
+    for (int t = 0; t < 4; ++t) {
+      stoppers.emplace_back([&monitor] { monitor.Stop(); });
+    }
+    for (std::thread& t : stoppers) t.join();
+    EXPECT_FALSE(monitor.running());
+    EXPECT_GE(monitor.TakeSamples().size(), 2u);  // start + final sample
+  }
+}
+
+#else  // !AQED_TELEMETRY_ENABLED
+
+TEST(SamplerTest, CompiledOutStubIsInert) {
+  TelemetryOn telemetry_on;
+  telemetry::MetricsRegistry registry;
+  SessionMonitor monitor(0, 1, &registry);
+  monitor.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  monitor.Stop();
+  EXPECT_TRUE(monitor.TakeSamples().empty());
+  EXPECT_EQ(monitor.num_dropped(), 0u);
+}
+
+#endif  // AQED_TELEMETRY_ENABLED
+
 // --- session semantics -------------------------------------------------------
 
 TEST(VerificationSessionTest, ExpandsOneJobPerEnabledPropertyGroup) {
@@ -257,6 +406,43 @@ TEST(VerificationSessionTest, ExternalCancelStopsPendingJobs) {
   EXPECT_TRUE(result.jobs[0].cancelled);
   EXPECT_EQ(result.jobs[0].ts, nullptr);
   EXPECT_FALSE(result.bug_found(0));
+}
+
+// The three monitor duties share one thread, and a session that arms none
+// starts no thread at all. The builder of an inline job reads the process
+// thread count while the monitor runs.
+TEST(SessionMonitorTest, OneThreadServesEveryDutyAndNoneWhenUnarmed) {
+  TelemetryOn telemetry_on;  // restores the switch the metrics sink arms
+  const auto extra_threads_in_job = [](core::SessionOptions session_options) {
+    session_options.jobs = 1;
+    VerificationSession session(session_options);
+    int64_t in_job = -1;
+    core::AqedOptions options;
+    options.bmc.max_bound = 2;
+    session.Enqueue(
+        [&in_job](ir::TransitionSystem& ts) {
+          in_job = telemetry::SampleResourceUsage().num_threads;
+          return BuildSessionToy(ts, false);
+        },
+        options, "toy");
+    const int64_t before = telemetry::SampleResourceUsage().num_threads;
+    session.Wait();
+    return in_job - before;
+  };
+  if (telemetry::SampleResourceUsage().num_threads == 0) {
+    GTEST_SKIP() << "no thread-count probe on this platform";
+  }
+  // ThreadSanitizer's runtime starts a helper thread when the process
+  // creates its first thread; create one up front so the counts below see
+  // only the threads a session starts.
+  std::thread([] {}).join();
+  EXPECT_EQ(extra_threads_in_job({}), 0);
+  core::SessionOptions armed;
+  armed.deadline_ms = 600000;
+  armed.memory_budget_mb = 65536;
+  armed.sample_period_ms = 20;
+  armed.metrics_path = testing::TempDir() + "/aqed_monitor_metrics.jsonl";
+  EXPECT_EQ(extra_threads_in_job(armed), 1);
 }
 
 // --- session telemetry export ------------------------------------------------

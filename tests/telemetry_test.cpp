@@ -3,7 +3,8 @@
 // Chrome trace-event export validity (parseable JSON, per-tid ordering,
 // thread metadata), metrics instruments and registry snapshots, the JSONL
 // round trip (snapshot + flight-recorder time series), the resource probes,
-// the sampler ring, and the HTML report renderer.
+// and the HTML report renderer. The flight recorder itself is tested with
+// the session monitor in sched_test.
 //
 // Span-producing tests are gated on AQED_TELEMETRY_ENABLED: with
 // -DAQED_TELEMETRY=OFF the Span class is an inert stub, and the OFF build
@@ -12,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -26,7 +26,6 @@
 #include "telemetry/metrics.h"
 #include "telemetry/report.h"
 #include "telemetry/resource.h"
-#include "telemetry/sampler.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -534,98 +533,6 @@ TEST(ResourceTest, ProbesReportPlausibleValues) {
   EXPECT_GE(usage.num_threads, 1);
 #endif
 }
-
-// --- sampler -----------------------------------------------------------------
-
-#if AQED_TELEMETRY_ENABLED
-
-TEST(SamplerTest, BracketsTheRunAndSnapshotsTheRegistry) {
-  MetricsRegistry registry;
-  registry.counter("s.counter").Add(7);
-  registry.gauge("s.gauge").Set(3);
-  SamplerOptions options;
-  options.period_ms = 1;
-  options.registry = &registry;
-  Sampler sampler(options);
-  EXPECT_FALSE(sampler.running());
-  sampler.Start();
-  EXPECT_TRUE(sampler.running());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  sampler.Stop();
-  EXPECT_FALSE(sampler.running());
-
-  const auto samples = sampler.TakeSamples();
-  // At least the immediate start sample and the final stop sample.
-  ASSERT_GE(samples.size(), 2u);
-  for (size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_GE(samples[i].timestamp_us, samples[i - 1].timestamp_us);
-  }
-  ASSERT_EQ(samples.front().counters.size(), 1u);
-  EXPECT_EQ(samples.front().counters[0].name, "s.counter");
-  EXPECT_EQ(samples.front().counters[0].value, 7u);
-  ASSERT_EQ(samples.front().gauges.size(), 1u);
-  EXPECT_EQ(samples.front().gauges[0].value, 3);
-  EXPECT_EQ(sampler.num_dropped(), 0u);
-  // TakeSamples moves the ring out.
-  EXPECT_TRUE(sampler.TakeSamples().empty());
-}
-
-TEST(SamplerTest, RingDropsOldestPastCapacity) {
-  MetricsRegistry registry;
-  SamplerOptions options;
-  options.period_ms = 1;
-  options.capacity = 3;
-  options.registry = &registry;
-  Sampler sampler(options);
-  sampler.Start();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (sampler.num_dropped() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  sampler.Stop();
-  EXPECT_GT(sampler.num_dropped(), 0u);
-  const auto samples = sampler.TakeSamples();
-  ASSERT_LE(samples.size(), 3u);
-  ASSERT_GE(samples.size(), 1u);
-  for (size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_GE(samples[i].timestamp_us, samples[i - 1].timestamp_us);
-  }
-}
-
-TEST(SamplerTest, ConcurrentStopCallsAreSafe) {
-  MetricsRegistry registry;
-  SamplerOptions options;
-  options.period_ms = 1;
-  options.registry = &registry;
-  // Racing Stop()s must not double-join (or join a moved-from thread, which
-  // throws std::system_error); exactly one caller records the final sample.
-  for (int round = 0; round < 20; ++round) {
-    Sampler sampler(options);
-    sampler.Start();
-    std::vector<std::thread> stoppers;
-    for (int t = 0; t < 4; ++t) {
-      stoppers.emplace_back([&sampler] { sampler.Stop(); });
-    }
-    for (std::thread& t : stoppers) t.join();
-    EXPECT_FALSE(sampler.running());
-    EXPECT_GE(sampler.TakeSamples().size(), 2u);  // start + final sample
-  }
-}
-
-#else  // !AQED_TELEMETRY_ENABLED
-
-TEST(SamplerTest, CompiledOutStubIsInert) {
-  Sampler sampler;
-  sampler.Start();
-  EXPECT_FALSE(sampler.running());
-  sampler.Stop();
-  EXPECT_TRUE(sampler.TakeSamples().empty());
-  EXPECT_EQ(sampler.num_dropped(), 0u);
-}
-
-#endif  // AQED_TELEMETRY_ENABLED
 
 // --- time-series JSONL round trip --------------------------------------------
 
