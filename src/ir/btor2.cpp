@@ -311,10 +311,17 @@ class Btor2Reader {
       if (ts_->ctx().node(state).op != Op::kState) {
         return Status::Error("init target is not a state");
       }
-      if (ts_->ctx().node(value).op != Op::kConst) {
+      const Context& ctx = ts_->ctx();
+      if (ctx.node(value).op != Op::kConst) {
         return Status::Error("only constant init values are supported");
       }
-      ts_->SetInit(state, ts_->ctx().node(value).const_val);
+      // An array state takes a uniform init: one element-sorted constant.
+      const Sort& sort = ctx.sort(state);
+      const uint32_t width = sort.is_array() ? sort.elem_width : sort.width;
+      if (ctx.width(value) != width) {
+        return Status::Error("init value width differs from its state's");
+      }
+      ts_->SetInit(state, ctx.node(value).const_val);
       return Status::Ok();
     }
     if (kind == "next") {

@@ -43,8 +43,9 @@ void Solver::SetClauseActivity(CRef cref, float activity) {
 // ---------------------------------------------------------------------------
 
 Var Solver::NewVar() {
-  const Var var = static_cast<Var>(assigns_.size());
-  assigns_.push_back(LBool::kUndef);
+  const Var var = num_vars();
+  values_.push_back(LBool::kUndef);
+  values_.push_back(LBool::kUndef);
   model_.push_back(LBool::kUndef);
   polarity_.push_back(1);  // default phase: false
   activity_.push_back(0.0);
@@ -133,7 +134,8 @@ void Solver::RemoveClause(CRef cref) {
 
 void Solver::UncheckedEnqueue(Lit lit, CRef reason) {
   AQED_CHECK(Value(lit) == LBool::kUndef, "enqueue of assigned literal");
-  assigns_[lit.var()] = lit.negated() ? LBool::kFalse : LBool::kTrue;
+  values_[lit.index()] = LBool::kTrue;
+  values_[(~lit).index()] = LBool::kFalse;
   reason_[lit.var()] = reason;
   level_[lit.var()] = DecisionLevel();
   trail_.push_back(lit);
@@ -143,51 +145,59 @@ CRef Solver::Propagate() {
   CRef confl = kCRefUndef;
   while (qhead_ < trail_.size()) {
     const Lit p = trail_[qhead_++];  // p is true; visit watchers of p.
+    const Lit false_lit = ~p;
     ++stats_.propagations;
-    auto& watch_list = watches_[p.index()];
-    size_t keep = 0;
-    size_t i = 0;
-    for (; i < watch_list.size(); ++i) {
-      const Watcher w = watch_list[i];
-      if (Value(w.blocker) == LBool::kTrue) {
-        watch_list[keep++] = w;
+    // Survivors are compacted from `i` down to `j`. A moved watcher always
+    // goes to another list (its new literal is not false, so it is not
+    // ~p), so this list never reallocates under the pointers.
+    std::vector<Watcher>& watch_list = watches_[p.index()];
+    Watcher* i = watch_list.data();
+    Watcher* j = i;
+    Watcher* const end = i + watch_list.size();
+    while (i != end) {
+      const Lit blocker = i->blocker;
+      if (Value(blocker) == LBool::kTrue) {
+        *j++ = *i++;
         continue;
       }
-      const CRef cref = w.cref;
+      const CRef cref = i->cref;
+      ++i;
       Lit* lits = ClauseLits(cref);
       const uint32_t size = ClauseSize(cref);
       // Ensure the false literal (~p) is at position 1.
-      const Lit false_lit = ~p;
       if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
       AQED_CHECK(lits[1] == false_lit, "watch invariant violated");
-      // If the other watched literal is true, the clause is satisfied.
-      if (Value(lits[0]) == LBool::kTrue) {
-        watch_list[keep++] = {cref, lits[0]};
+      // If the other watched literal is true, the clause is satisfied. The
+      // blocker was just found not true, so it needs no second look.
+      const Lit first = lits[0];
+      if (first != blocker && Value(first) == LBool::kTrue) {
+        *j++ = {cref, first};
         continue;
       }
       // Look for a new literal to watch.
       bool moved = false;
-      for (uint32_t j = 2; j < size; ++j) {
-        if (Value(lits[j]) != LBool::kFalse) {
-          std::swap(lits[1], lits[j]);
-          watches_[(~lits[1]).index()].push_back({cref, lits[0]});
+      for (uint32_t k = 2; k < size; ++k) {
+        if (Value(lits[k]) != LBool::kFalse) {
+          lits[1] = lits[k];
+          lits[k] = false_lit;
+          watches_[(~lits[1]).index()].push_back({cref, first});
           moved = true;
           break;
         }
       }
       if (moved) continue;
       // Clause is unit or conflicting.
-      watch_list[keep++] = {cref, lits[0]};
-      if (Value(lits[0]) == LBool::kFalse) {
+      *j++ = {cref, first};
+      if (Value(first) == LBool::kFalse) {
         confl = cref;
         qhead_ = static_cast<uint32_t>(trail_.size());
         // Copy back the remaining watchers and stop.
-        for (++i; i < watch_list.size(); ++i) watch_list[keep++] = watch_list[i];
+        while (i != end) *j++ = *i++;
         break;
       }
-      UncheckedEnqueue(lits[0], cref);
+      UncheckedEnqueue(first, cref);
     }
-    watch_list.resize(keep);
+    watch_list.resize(static_cast<size_t>(j - watch_list.data()));
     if (confl != kCRefUndef) break;
   }
   return confl;
@@ -197,7 +207,8 @@ void Solver::CancelUntil(uint32_t target_level) {
   if (DecisionLevel() <= target_level) return;
   for (size_t i = trail_.size(); i-- > trail_lim_[target_level];) {
     const Var var = trail_[i].var();
-    assigns_[var] = LBool::kUndef;
+    values_[trail_[i].index()] = LBool::kUndef;
+    values_[(~trail_[i]).index()] = LBool::kUndef;
     if (options_.use_phase_saving) {
       polarity_[var] = trail_[i].negated() ? 1 : 0;
     }
@@ -249,12 +260,16 @@ void Solver::Analyze(CRef confl, std::vector<Lit>& out_learnt,
 
   // Minimize: remove literals whose negation is implied by the rest.
   analyze_toclear_.assign(out_learnt.begin(), out_learnt.end());
+  uint32_t abstract_levels = 0;
+  for (size_t i = 1; i < out_learnt.size(); ++i) {
+    abstract_levels |= AbstractLevel(out_learnt[i].var());
+  }
   size_t kept = 1;
   const size_t original_size = out_learnt.size();
   for (size_t i = 1; i < out_learnt.size(); ++i) {
     const Lit lit = out_learnt[i];
     if (!options_.use_minimization || reason_[lit.var()] == kCRefUndef ||
-        !LitRedundant(lit)) {
+        !LitRedundant(lit, abstract_levels)) {
       out_learnt[kept++] = lit;
     }
   }
@@ -281,7 +296,12 @@ void Solver::Analyze(CRef confl, std::vector<Lit>& out_learnt,
 
 // Checks whether `lit` (a non-asserting literal of the learnt clause) is
 // implied by the remaining seen literals; iterative DFS over antecedents.
-bool Solver::LitRedundant(Lit lit) {
+// `abstract_levels` holds the AbstractLevel bits of the clause's literals.
+// The DFS gives up at a literal whose level bit is not in it: an implied
+// literal leads back through its own level to that level's decision, and a
+// level with no clause literal holds no seen literal to stop at, so the
+// unpruned search would fail there too and the result is the same.
+bool Solver::LitRedundant(Lit lit, uint32_t abstract_levels) {
   minimize_stack_.clear();
   minimize_stack_.push_back(lit);
   const size_t toclear_base = analyze_toclear_.size();
@@ -295,8 +315,10 @@ bool Solver::LitRedundant(Lit lit) {
     for (uint32_t i = 1; i < size; ++i) {
       const Lit q = lits[i];
       if (seen_[q.var()] || level_[q.var()] == 0) continue;
-      if (reason_[q.var()] == kCRefUndef) {
-        // Reached a decision that is not part of the clause: not redundant.
+      if (reason_[q.var()] == kCRefUndef ||
+          (AbstractLevel(q.var()) & abstract_levels) == 0) {
+        // Reached a decision that is not part of the clause, or a level
+        // that leads to one: not redundant.
         for (size_t j = toclear_base; j < analyze_toclear_.size(); ++j) {
           seen_[analyze_toclear_[j].var()] = 0;
         }
@@ -549,12 +571,13 @@ void Solver::CompactArena() {
 
 uint64_t Solver::MemoryBytes() const {
   // Constant-time: capacities of the big flat arrays plus a per-variable
-  // constant covering assigns/model/polarity/activity/reason/level/heap/
-  // seen and the two watch-list headers, plus two watchers per attached
-  // clause. An estimate — the monitor ranks jobs, it doesn't bill them.
-  const uint64_t per_var = 2 * sizeof(LBool) + 1 + sizeof(double) +
-                           sizeof(CRef) + sizeof(uint32_t) + sizeof(Var) +
-                           sizeof(uint32_t) + 1 +
+  // constant covering the two-entry value table, model, polarity,
+  // activity, reason, level, heap, seen and the two watch-list headers,
+  // plus two watchers per attached clause. An estimate — the monitor ranks
+  // jobs, it doesn't bill them.
+  const uint64_t per_var = 2 * sizeof(LBool) + sizeof(LBool) + 1 +
+                           sizeof(double) + sizeof(CRef) + sizeof(uint32_t) +
+                           sizeof(Var) + sizeof(uint32_t) + 1 +
                            2 * sizeof(std::vector<Watcher>);
   return arena_.capacity() * sizeof(uint32_t) +
          (clauses_.capacity() + learnts_.capacity()) * sizeof(CRef) +
@@ -658,7 +681,7 @@ SolveResult Solver::Search(int64_t conflicts_budget) {
       next = PickBranchLit();
       if (next == kLitUndef) {
         // All variables assigned: model found.
-        model_ = assigns_;
+        for (Var var = 0; var < num_vars(); ++var) model_[var] = Value(var);
         return SolveResult::kSat;
       }
     }
@@ -675,7 +698,7 @@ std::unique_ptr<Solver> Solver::Clone(const Options& options) const {
   clone->clauses_ = clauses_;
   clone->learnts_ = learnts_;
   clone->num_problem_clauses_ = num_problem_clauses_;
-  clone->assigns_ = assigns_;
+  clone->values_ = values_;
   clone->model_ = model_;
   clone->polarity_ = polarity_;
   clone->activity_ = activity_;

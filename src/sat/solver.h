@@ -1,10 +1,15 @@
 // CDCL SAT solver in the MiniSat lineage.
 //
-// Features: two-watched-literal propagation, VSIDS decision heuristic with a
-// binary order heap, phase saving, first-UIP conflict analysis with deep
-// clause minimization, Luby restarts, activity-driven learnt-clause database
+// Features: two-watched-literal propagation with blockers, VSIDS decision
+// heuristic with a binary order heap, phase saving, first-UIP conflict
+// analysis with deep clause minimization (pruned by MiniSat's abstract
+// decision levels), Luby restarts, activity-driven learnt-clause database
 // reduction, and incremental solving under assumptions with failed-assumption
 // (unsat core over assumptions) extraction.
+//
+// Assignments live in a literal-indexed value table: both polarities of a
+// variable are written on assignment and cleared on backtrack, so the value
+// of a literal is one load with no negation on the propagation hot path.
 //
 // Every heuristic can be disabled through Options; the SAT-ablation benchmark
 // (bench_ablation_sat) uses this to quantify each feature's contribution on
@@ -77,7 +82,9 @@ class Solver {
 
   // Creates a fresh variable and returns it.
   Var NewVar();
-  uint32_t num_vars() const { return static_cast<uint32_t>(assigns_.size()); }
+  uint32_t num_vars() const {
+    return static_cast<uint32_t>(values_.size() / 2);
+  }
 
   // Adds a clause over existing variables. Returns false if the formula
   // became trivially unsatisfiable (empty clause / conflicting units).
@@ -164,10 +171,8 @@ class Solver {
   CRef AllocClause(std::span<const Lit> lits, bool learnt);
 
   // --- assignment / trail ----------------------------------------------
-  LBool Value(Var var) const { return assigns_[var]; }
-  LBool Value(Lit lit) const {
-    return lit.negated() ? Negate(assigns_[lit.var()]) : assigns_[lit.var()];
-  }
+  LBool Value(Var var) const { return values_[Lit(var, false).index()]; }
+  LBool Value(Lit lit) const { return values_[lit.index()]; }
   uint32_t DecisionLevel() const {
     return static_cast<uint32_t>(trail_lim_.size());
   }
@@ -181,7 +186,10 @@ class Solver {
   // --- conflict analysis -------------------------------------------------
   void Analyze(CRef confl, std::vector<Lit>& out_learnt,
                uint32_t& out_btlevel);
-  bool LitRedundant(Lit lit);
+  // One bit per decision level (mod 32): the levels of a clause fold into
+  // a mask that LitRedundant tests before following an antecedent.
+  uint32_t AbstractLevel(Var var) const { return 1u << (level_[var] & 31); }
+  bool LitRedundant(Lit lit, uint32_t abstract_levels);
   void AnalyzeFinal(Lit p, std::vector<Lit>& out_conflict);
 
   // --- heuristics --------------------------------------------------------
@@ -241,7 +249,7 @@ class Solver {
   std::vector<CRef> learnts_;
   uint64_t num_problem_clauses_ = 0;
 
-  std::vector<LBool> assigns_;
+  std::vector<LBool> values_;  // indexed by Lit::index(), both polarities
   std::vector<LBool> model_;
   std::vector<uint8_t> polarity_;      // saved phase (1 = last was false)
   std::vector<double> activity_;

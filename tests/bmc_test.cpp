@@ -248,5 +248,24 @@ TEST(BmcTest, CleanFifoFcWorkIsPinned) {
 #endif
 }
 
+// The satisfiable side of the same pin: a catalog bug that BMC finds in
+// well under a second. Its trace is read from the solver's model and
+// replayed on the simulator.
+TEST(BmcTest, FifoPtrNoWrapBugWorkIsPinned) {
+  ir::TransitionSystem ts;
+  const auto design = accel::BuildMemCtrl(ts, accel::MemCtrlConfig::kFifo,
+                                          accel::MemCtrlBug::kFifoPtrNoWrap);
+  const core::FcInstrumentation fc = core::InstrumentFc(ts, design.acc);
+  BmcOptions options;
+  options.max_bound = 14;
+  options.bad_filter = {fc.fc_bad_index};
+  const BmcResult result = RunBmc(ts, options);
+  ASSERT_EQ(result.outcome, BmcResult::Outcome::kCounterexample);
+  EXPECT_TRUE(result.trace_validated);
+  EXPECT_EQ(result.trace.length(), 8u);
+  EXPECT_EQ(result.conflicts, 6485u);
+  EXPECT_EQ(result.decisions, 33786u);
+}
+
 }  // namespace
 }  // namespace aqed::bmc

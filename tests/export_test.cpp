@@ -167,6 +167,11 @@ TEST(Btor2Test, ImportRejectsMalformedInput) {
            "2 input 1\n3 bad 2\n",          // 8-bit bad
            "2 input 1\n3 constraint 2\n",   // 8-bit constraint
            "2 state 1\n3 next 1 -2 2\n",    // next of a non-state
+           // 8-bit init of a 4-bit state (was truncated to 200 mod 16 = 8)
+           "2 sort bitvec 4\n3 state 2 s\n4 constd 1 200\n5 init 2 3 4\n",
+           // 4-bit init of an array state with 8-bit elements
+           "2 sort bitvec 4\n3 sort array 2 1\n4 state 3 m\n"
+           "5 constd 2 3\n6 init 3 4 5\n",
        }) {
     EXPECT_FALSE(ir::ImportBtor2String(byte + body).ok()) << body;
   }

@@ -323,5 +323,16 @@ TEST(SolverStatsTest, ReducedLearntsLeaveTheArena) {
             solver.stats().learnt_literals * sizeof(uint32_t));
 }
 
+// Clause minimization prunes its antecedent search by decision level; the
+// pruning must drop exactly the literals the unpruned search drops. These
+// counts were recorded before the pruning existed.
+TEST(SolverStatsTest, MinimizationIsPinned) {
+  Solver solver;
+  AddPigeonhole(solver, 8);
+  EXPECT_EQ(solver.Solve(), SolveResult::kUnsat);
+  EXPECT_EQ(solver.stats().learnt_literals, 898525u);
+  EXPECT_EQ(solver.stats().minimized_literals, 182704u);
+}
+
 }  // namespace
 }  // namespace aqed::sat
