@@ -26,6 +26,44 @@ const char* BugKindName(BugKind kind) {
   return "?";
 }
 
+const char* PropertyGroupName(PropertyGroup group) {
+  switch (group) {
+    case PropertyGroup::kFc: return "FC";
+    case PropertyGroup::kRb: return "RB";
+    case PropertyGroup::kSac: return "SAC";
+  }
+  return "?";
+}
+
+bool Enables(const AqedOptions& options, PropertyGroup group) {
+  switch (group) {
+    case PropertyGroup::kFc: return options.check_fc;
+    case PropertyGroup::kRb: return options.rb.has_value();
+    case PropertyGroup::kSac: return options.sac_spec.has_value();
+  }
+  return false;
+}
+
+AqedOptions RestrictTo(const AqedOptions& options, PropertyGroup group) {
+  AQED_CHECK(Enables(options, group),
+             std::string("RestrictTo a disabled property: ") +
+                 PropertyGroupName(group));
+  AqedOptions only = options;
+  if (group != PropertyGroup::kFc) {
+    only.check_fc = false;
+    only.fc_bound = 0;
+  }
+  if (group != PropertyGroup::kRb) {
+    only.rb.reset();
+    only.rb_bound = 0;
+  }
+  if (group != PropertyGroup::kSac) {
+    only.sac_spec.reset();
+    only.sac_bound = 0;
+  }
+  return only;
+}
+
 // ---------------------------------------------------------------------------
 // Options validation + fluent builder
 // ---------------------------------------------------------------------------

@@ -66,6 +66,18 @@ struct AqedOptions {
   Status Validate() const;
 };
 
+// The property groups a session verifies as separate jobs.
+enum class PropertyGroup : uint8_t { kFc, kRb, kSac };
+
+const char* PropertyGroupName(PropertyGroup group);  // "FC", "RB", "SAC"
+
+bool Enables(const AqedOptions& options, PropertyGroup group);
+
+// `options` with every group but `group` disabled and the other groups'
+// bound overrides zeroed, so the result passes Validate() whenever
+// `options` does. `group` must be enabled in `options`.
+AqedOptions RestrictTo(const AqedOptions& options, PropertyGroup group);
+
 // Fluent construction with Build()-time validation. The built product is
 // the plain AqedOptions struct, so call sites can migrate incrementally —
 // anything accepting AqedOptions accepts a Builder-made one.

@@ -23,6 +23,8 @@ KInductionResult RunKInduction(const ir::TransitionSystem& ts,
   }
   AQED_CHECK(!targets.empty(), "RunKInduction with no bad predicates");
 
+  const sat::SolveLimits limits{.max_conflicts = options.conflict_budget};
+
   // Base-case machinery: unrolling from the reset state.
   sat::Solver base_solver(options.solver_options);
   bitblast::GateBuilder base_gates(base_solver);
@@ -55,10 +57,12 @@ KInductionResult RunKInduction(const ir::TransitionSystem& ts,
     const sat::Lit base_bad = any_bad(base_gates, base, depth);
     if (!base_gates.IsFalse(base_bad) && !base_solver.inconsistent()) {
       const sat::Lit assumptions[] = {base_bad};
-      const sat::SolveResult base_result = base_solver.Solve(assumptions);
+      const sat::SolveResult base_result =
+          base_solver.Solve(assumptions, limits);
       if (base_result == sat::SolveResult::kUnknown) {
         // A budget or cancellation stopped the base case: without it no
         // step result means anything, so the run is inconclusive.
+        result.unknown_reason = base_solver.stats().last_unknown;
         break;
       }
       if (base_result == sat::SolveResult::kSat) {
@@ -86,25 +90,41 @@ KInductionResult RunKInduction(const ir::TransitionSystem& ts,
     }
 
     // --- step(k): ~bad@0..k-1 (permanent facts) and bad@k (assumption) ----
+    // A fact that is constant false leaves no path for the step case to
+    // extend (a system without state has no two distinct frames, say), so
+    // step(k) holds trivially; GateBuilder::Assert would abort on it.
+    bool no_path = false;
+    const auto assert_fact = [&](sat::Lit fact) {
+      if (step_gates.IsFalse(fact)) no_path = true;
+      if (!no_path) step_gates.Assert(fact);
+    };
     // Permanently assert that frame k-1 is good (accumulates over k).
-    step_gates.Assert(~any_bad(step_gates, step, k - 1));
+    assert_fact(~any_bad(step_gates, step, k - 1));
     step.AddFrame();  // frame k now exists
     if (options.simple_path) {
       // The new frame must differ from every earlier one.
       for (uint32_t j = 0; j < k; ++j) {
-        step_gates.Assert(~step.FramesEqual(j, k));
+        assert_fact(~step.FramesEqual(j, k));
       }
     }
     const sat::Lit step_bad = any_bad(step_gates, step, k);
-    if (step_gates.IsFalse(step_bad) || step_solver.inconsistent()) {
+    if (no_path || step_gates.IsFalse(step_bad) ||
+        step_solver.inconsistent()) {
       result.outcome = KInductionResult::Outcome::kProved;
       result.k = k;
       break;
     }
     const sat::Lit assumptions[] = {step_bad};
-    if (step_solver.Solve(assumptions) == sat::SolveResult::kUnsat) {
+    const sat::SolveResult step_result = step_solver.Solve(assumptions, limits);
+    if (step_result == sat::SolveResult::kUnsat) {
       result.outcome = KInductionResult::Outcome::kProved;
       result.k = k;
+      break;
+    }
+    if (step_result == sat::SolveResult::kUnknown) {
+      // An undecided step is not "not inductive at k": stop rather than
+      // spend further budgets (or ignore a cancellation) on deeper k.
+      result.unknown_reason = step_solver.stats().last_unknown;
       break;
     }
   }

@@ -32,6 +32,11 @@ struct KInductionOptions {
   // Restrict to these bad indices (empty = all, proved conjointly).
   std::vector<uint32_t> bad_filter;
   bool validate_counterexamples = true;
+  // Conflict cap of every base and step solve (-1 = unlimited). A solve
+  // that exhausts it ends the run kUnknown with kConflictBudget.
+  int64_t conflict_budget = -1;
+  // Both solvers' options; a fired solver_options.cancel ends the run
+  // kUnknown with the reason it fired for.
   sat::Solver::Options solver_options;
 };
 
@@ -39,10 +44,14 @@ struct KInductionResult {
   enum class Outcome {
     kProved,          // the bad states are unreachable at every depth
     kCounterexample,  // reachable: `trace` holds the witness
-    kUnknown,         // not (k-)inductive within max_k, or a base case
-                      // was stopped by a budget or cancellation
+    kUnknown,         // not (k-)inductive within max_k, or a base or
+                      // step solve was stopped by a budget or cancellation
   };
   Outcome outcome = Outcome::kUnknown;
+  // Why a base or step solve came back undecided (budget, deadline,
+  // cancelled, memory budget); kNone when kUnknown only means "not
+  // inductive within max_k", and for every other outcome.
+  UnknownReason unknown_reason = UnknownReason::kNone;
   uint32_t k = 0;  // proof induction depth / counterexample depth
   Trace trace;
   // The witness replayed on the simulator. False on a counterexample means

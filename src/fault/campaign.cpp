@@ -123,6 +123,11 @@ FaultCampaignResult RunFaultCampaign(std::span<const DesignUnderTest> designs,
     const uint32_t share = options.num_mutants / num_designs +
                            (d < options.num_mutants % num_designs ? 1 : 0);
     if (share == 0) continue;
+    // The rounds enqueue single-property restrictions, which cannot tell
+    // that the design's own options enable no property at all.
+    const Status valid = designs[d].options.Validate();
+    AQED_CHECK(valid.ok(), "RunFaultCampaign: " + designs[d].name + ": " +
+                               valid.message());
     TELEMETRY_SPAN("fault.sample:" + designs[d].name,
                    {{"share", static_cast<int64_t>(share)}});
     ir::TransitionSystem scratch;
@@ -198,8 +203,7 @@ FaultCampaignResult RunFaultCampaign(std::span<const DesignUnderTest> designs,
 
   // Journaled campaigns run in small batches — a few mutants per worker —
   // so records become durable steadily and a crash loses at most one
-  // batch. Unjournaled campaigns keep the single-round hot path (one
-  // Enqueue storm, one Wait) untouched.
+  // batch. Unjournaled campaigns verify the whole plan as one batch.
   const uint32_t workers = session_options.jobs == 0
                                ? sched::ThreadPool::HardwareJobs()
                                : session_options.jobs;
@@ -210,28 +214,52 @@ FaultCampaignResult RunFaultCampaign(std::span<const DesignUnderTest> designs,
   for (size_t begin = 0; begin < todo.size(); begin += batch_size) {
     const std::span<const size_t> batch(
         todo.data() + begin, std::min(batch_size, todo.size() - begin));
-    std::vector<core::JobHandle> handles;
-    handles.reserve(batch.size());
-    for (const size_t i : batch) {
-      const DesignUnderTest& dut = designs[plan[i].design];
-      handles.push_back(session.Enqueue(MutantBuilder(dut.build, plan[i].key),
-                                        dut.options,
-                                        dut.name + "/" + plan[i].key.ToString()));
-    }
-    const core::SessionResult session_result = session.Wait();
-    session_wall += session_result.wall_seconds;
-    for (const JobStat& stat : session_result.stats.jobs()) {
-      result.stats.AddJob(stat);
+    // Precedence rounds, strongest property first (ClassifyKind's order):
+    // FC for every mutant, RB for those FC did not detect, SAC for those
+    // neither detected. A validated detection ends a mutant's chain, since
+    // no later property can outrank it; a clean, inconclusive or
+    // checker-error job does not. `executed` collects every job run, its
+    // entry renumbered to the mutant's batch position, in FC, RB, SAC
+    // order, so ClassifyEntry folds exactly what an all-jobs entry would
+    // fold to.
+    core::SessionResult executed;
+    std::vector<bool> detected(batch.size(), false);
+    for (const core::PropertyGroup group :
+         {core::PropertyGroup::kFc, core::PropertyGroup::kRb,
+          core::PropertyGroup::kSac}) {
+      std::vector<size_t> members;  // batch positions verified this round
+      for (size_t b = 0; b < batch.size(); ++b) {
+        const Planned& planned = plan[batch[b]];
+        const DesignUnderTest& dut = designs[planned.design];
+        if (detected[b] || !core::Enables(dut.options, group)) continue;
+        session.Enqueue(MutantBuilder(dut.build, planned.key),
+                        core::RestrictTo(dut.options, group),
+                        dut.name + "/" + planned.key.ToString());
+        members.push_back(b);
+      }
+      if (members.empty()) continue;
+      core::SessionResult round = session.Wait();
+      session_wall += round.wall_seconds;
+      for (const JobStat& stat : round.stats.jobs()) {
+        result.stats.AddJob(stat);
+      }
+      // One job per restricted entry, in submission order.
+      AQED_CHECK(round.jobs.size() == members.size(),
+                 "campaign round: one job per restricted entry");
+      for (size_t m = 0; m < members.size(); ++m) {
+        core::JobResult& job = round.jobs[m];
+        job.entry = members[m];
+        job.ts.reset();  // the fold reads verdicts only
+        if (job.result.bug_found) detected[members[m]] = true;
+        executed.jobs.push_back(std::move(job));
+      }
     }
     for (size_t b = 0; b < batch.size(); ++b) {
       const size_t i = batch[b];
       MutantReport& report = result.mutants[i];
-      static_cast<EntryVerdict&>(report) =
-          ClassifyEntry(session_result, handles[b].index());
-      for (const core::JobResult& job : session_result.jobs) {
-        if (job.entry == handles[b].index()) {
-          report.wall_seconds += job.wall_seconds;
-        }
+      static_cast<EntryVerdict&>(report) = ClassifyEntry(executed, b);
+      for (const core::JobResult& job : executed.jobs) {
+        if (job.entry == b) report.wall_seconds += job.wall_seconds;
       }
       CountClassified(report.classification);
       if (options.cache != nullptr) {

@@ -3,7 +3,8 @@
 // A FaultCampaign is the systematic version of the paper's injected-bug
 // study (Table 1 / Fig. 5): sample a seeded set of mutants per design,
 // verify every mutant with the A-QED property suite on the parallel
-// verification session, and classify each one as detected-by-FC /
+// verification session, strongest property first and stopping at its first
+// detection, and classify each one as detected-by-FC /
 // detected-by-RB / detected-by-SAC / survived / unknown — optionally
 // running the conventional random-simulation flow on the same mutants for
 // an apples-to-apples detection baseline (the golden-model diff).
@@ -89,8 +90,9 @@ struct EntryVerdict {
   uint32_t cex_cycles = 0;      // A-QED detection latency (0 if undetected)
   uint32_t attempts = 1;        // max attempts over the entry's jobs
   // Why a kUnknown verdict is undecided: the first inconclusive job's
-  // reason, or kNone when a checker error (a counterexample that failed
-  // simulator replay) is all that kept the entry from a verdict.
+  // reason in the jobs' order (FC, RB, SAC in a campaign), or kNone when a
+  // checker error (a counterexample that failed simulator replay) is all
+  // that kept the entry from a verdict.
   UnknownReason unknown_reason = UnknownReason::kNone;
 };
 
@@ -99,6 +101,12 @@ struct EntryVerdict {
 // the first job submitted); otherwise any inconclusive job or checker error
 // leaves the entry kUnknown, and only an entry whose every job refuted its
 // property to the bound is kSurvived. attempts is the max over the jobs.
+// A campaign folds only the jobs its precedence rounds ran (see
+// FaultCampaignOptions::session). The skipped jobs cannot change
+// classification, kind or cex_cycles, so those equal the fold of every
+// job. attempts and unknown_reason describe the jobs that ran: attempts
+// leaves out the retries a skipped job would have needed, and
+// unknown_reason comes from the first undecided job in FC, RB, SAC order.
 EntryVerdict ClassifyEntry(const core::SessionResult& session_result,
                            size_t entry);
 
@@ -125,9 +133,16 @@ struct FaultCampaignOptions {
   // the remainder). Designs with fewer applicable sites contribute all of
   // them.
   uint32_t num_mutants = 30;
-  // Scheduling and resource governance for the verification jobs. The
-  // cancellation policy is forced to kNone: classification needs every
-  // property's verdict, not just the first bug.
+  // Scheduling and resource governance for the verification jobs. Each
+  // batch of mutants is verified in precedence rounds, one Enqueue/Wait of
+  // single-property options each: FC for every mutant, RB for the mutants
+  // FC did not detect, SAC for those neither detected. Only a validated
+  // detection ends a mutant's chain; a clean, inconclusive or checker-error
+  // job does not. The cancellation policy is forced to kNone, so which jobs
+  // run depends on verdicts alone, never on the worker count.
+  // Decomposition keeps one wave under its caller's policy (kEntry by
+  // default), where the cheapest-first job order picks the reported
+  // property; FC-first rounds would change that attribution.
   core::SessionOptions session;
   // Also run the conventional random-simulation campaign on each mutant of
   // every golden-equipped design.
@@ -190,8 +205,9 @@ struct FaultCampaignResult {
 };
 
 // Runs the campaign: samples options.num_mutants mutants over `designs`,
-// verifies them all in one verification session, classifies, and (when
-// asked) baselines against the conventional flow.
+// verifies them in one verification session (precedence rounds per batch,
+// see FaultCampaignOptions::session), classifies, and (when asked)
+// baselines against the conventional flow.
 FaultCampaignResult RunFaultCampaign(std::span<const DesignUnderTest> designs,
                                      const FaultCampaignOptions& options);
 

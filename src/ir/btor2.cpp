@@ -262,6 +262,12 @@ class Btor2Reader {
                              ": " + status.message());
       }
     }
+    // Whole-system rules that no single line breaks, such as a state left
+    // without a next function: rejected here, not by the AQED_CHECK of the
+    // first engine that runs on the system.
+    if (Status valid = ts_->Validate(); !valid.ok()) {
+      return Status::Error("btor2: " + valid.message());
+    }
     return std::move(ts_);
   }
 

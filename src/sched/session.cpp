@@ -13,6 +13,21 @@
 #include "telemetry/telemetry.h"
 
 namespace aqed::sched {
+namespace {
+
+// The BMC bound a job of `group` runs to: its override, else bmc.max_bound.
+uint32_t PropertyBound(const core::AqedOptions& options,
+                       core::PropertyGroup group) {
+  uint32_t bound = 0;
+  switch (group) {
+    case core::PropertyGroup::kFc: bound = options.fc_bound; break;
+    case core::PropertyGroup::kRb: bound = options.rb_bound; break;
+    case core::PropertyGroup::kSac: bound = options.sac_bound; break;
+  }
+  return bound != 0 ? bound : options.bmc.max_bound;
+}
+
+}  // namespace
 
 VerificationSession::VerificationSession(core::SessionOptions options)
     : options_(options),
@@ -38,36 +53,20 @@ core::JobHandle VerificationSession::Enqueue(core::AcceleratorBuilder build,
   const size_t entry = num_entries_++;
   entry_sources_.emplace_back();
 
-  const auto add = [&](core::AqedOptions group, uint32_t bound,
-                       const char* property) {
-    std::string job_label =
-        label.empty() ? property : label + "/" + property;
-    pending_.push_back({entry, std::move(job_label), build, std::move(group),
-                        bound ? bound : options.bmc.max_bound,
-                        options.bmc.conflict_budget, options_.deadline_ms});
-  };
   // Cheapest property groups first: the RB and SAC monitors are small
   // counters/comparators whose refutations are easy, while FC carries the
   // symbolic orig/dup choice. A deadlocked design is reported in
   // milliseconds by the RB job instead of after deep FC refutations — and
   // under first-bug-wins it then cancels them outright.
-  if (options.rb.has_value()) {
-    core::AqedOptions rb_only = options;
-    rb_only.check_fc = false;
-    rb_only.sac_spec.reset();
-    add(std::move(rb_only), options.rb_bound, "RB");
-  }
-  if (options.sac_spec.has_value()) {
-    core::AqedOptions sac_only = options;
-    sac_only.check_fc = false;
-    sac_only.rb.reset();
-    add(std::move(sac_only), options.sac_bound, "SAC");
-  }
-  if (options.check_fc) {
-    core::AqedOptions fc_only = options;
-    fc_only.rb.reset();
-    fc_only.sac_spec.reset();
-    add(std::move(fc_only), options.fc_bound, "FC");
+  using core::PropertyGroup;
+  for (const PropertyGroup group :
+       {PropertyGroup::kRb, PropertyGroup::kSac, PropertyGroup::kFc}) {
+    if (!core::Enables(options, group)) continue;
+    const char* property = core::PropertyGroupName(group);
+    pending_.push_back(
+        {entry, label.empty() ? property : label + "/" + property, build,
+         core::RestrictTo(options, group), PropertyBound(options, group),
+         options.bmc.conflict_budget, options_.deadline_ms});
   }
   return core::JobHandle(entry, std::move(label));
 }

@@ -1,7 +1,7 @@
 // Seeded mutation fuzzing of every decoder that reads bytes from outside the
 // process: CRC-guarded journal records and solve-cache lines (one line at a
-// time and as whole files), bare JSON, and the service protocol's request
-// and response payloads.
+// time and as whole files), bare JSON, the service protocol's request and
+// response payloads, DIMACS CNF and BTOR2 models.
 //
 // Each case starts from valid encoder output and applies a few random byte
 // flips, truncations, splices and token insertions. Record payloads are
@@ -9,7 +9,9 @@
 // decoders behind the checksum see the damage too. The properties: nothing
 // crashes, aborts or trips a sanitizer (the asan-ubsan build runs this file
 // like any other test), every rejection is a nullopt or a Status with a
-// message, and whatever a decoder accepts survives its own encoder.
+// message, and whatever a decoder accepts survives its own encoder (or, for
+// the model formats, is well formed: a CNF's literals lie within its
+// variable count, an imported system passes Validate()).
 //
 // No libFuzzer: a fixed seed and bounded iteration counts keep it a
 // deterministic, few-second unit test.
@@ -21,11 +23,17 @@
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "accel/dataflow.h"
+#include "accel/multi_action.h"
 #include "fault/journal.h"
+#include "ir/btor2.h"
+#include "sat/dimacs.h"
 #include "service/cache.h"
 #include "service/protocol.h"
 #include "support/io.h"
@@ -49,8 +57,20 @@ constexpr std::string_view kTokens[] = {
     "true", "[]", "{}", "\"0000000000000000\"", "\"zzzzzzzzzzzzzzzz\"",
 };
 
+// DIMACS and BTOR2 grammar: keywords, separators and numbers on the
+// uint32/int64 and 2^31 variable-count limits.
+constexpr std::string_view kModelTokens[] = {
+    " ", "\n", "\t", "\r", "-", "0", "1", "-0", "+1", ";", "p", "cnf", "c",
+    "2147483647", "2147483648", "-2147483648", "4294967295", "4294967296",
+    "9223372036854775808", "-9223372036854775809", "sort", "bitvec",
+    "array", "const", "constd", "consth", "input", "state", "init", "next",
+    "bad", "constraint", "output", "add", "mul", "udiv", "ite", "slice",
+    "uext", "sext", "concat", "read", "write", "eq", "not", "65", "64",
+};
+
 std::string Mutate(Rng& rng, std::string text,
-                   const std::vector<std::string>& corpus) {
+                   const std::vector<std::string>& corpus,
+                   std::span<const std::string_view> tokens = kTokens) {
   const uint64_t steps = 1 + rng.NextBelow(3);
   for (uint64_t step = 0; step < steps; ++step) {
     const size_t at = text.empty() ? 0 : rng.NextBelow(text.size() + 1);
@@ -69,15 +89,13 @@ std::string Mutate(Rng& rng, std::string text,
         break;
       }
       case 3: {  // insert a boundary token
-        const std::string_view token =
-            kTokens[rng.NextBelow(std::size(kTokens))];
+        const std::string_view token = tokens[rng.NextBelow(tokens.size())];
         text.insert(at, token);
         break;
       }
       default:  // overwrite one byte with a token's first byte
         if (!text.empty()) {
-          text[at % text.size()] =
-              kTokens[rng.NextBelow(std::size(kTokens))][0];
+          text[at % text.size()] = tokens[rng.NextBelow(tokens.size())][0];
         }
         break;
     }
@@ -338,6 +356,61 @@ TEST(CodecFuzzTest, JsonAndProtocolPayloadsNeverCrashTheDecoders) {
     ExpectDecodedOrStatus(service::DecodeMetricsResponse(payload));
     (void)service::IsOkResponse(payload);
   }
+}
+
+TEST(CodecFuzzTest, DimacsNeverCrashesAndAcceptsOnlyDeclaredVariables) {
+  sat::Cnf cnf;
+  cnf.num_vars = 5;
+  cnf.clauses = {{sat::Lit(0, false), sat::Lit(4, true)},
+                 {sat::Lit(1, true), sat::Lit(2, false), sat::Lit(3, false)},
+                 {sat::Lit(2, true)},
+                 {}};
+  const std::vector<std::string> corpus = {
+      sat::ToDimacs(cnf), "c comment\np cnf 3 2\n1 -2 0\n-3 0\n"};
+  Rng rng(kSeed + 3);
+  size_t accepted = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const std::string text = Mutate(rng, corpus[rng.NextBelow(corpus.size())],
+                                    corpus, kModelTokens);
+    const StatusOr<sat::Cnf> parsed = sat::ParseDimacsString(text);
+    ExpectDecodedOrStatus(parsed);
+    if (!parsed.ok()) continue;
+    ++accepted;
+    for (const std::vector<sat::Lit>& clause : parsed.value().clauses) {
+      for (const sat::Lit lit : clause) {
+        ASSERT_LT(lit.var(), parsed.value().num_vars) << text;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(CodecFuzzTest, Btor2ImportNeverCrashesAndAcceptsOnlyValidSystems) {
+  std::vector<std::string> corpus;
+  {
+    ir::TransitionSystem ts;
+    accel::BuildAlu(ts, {});
+    corpus.push_back(ir::ToBtor2(ts));
+  }
+  {
+    ir::TransitionSystem ts;
+    accel::BuildDataflow(ts, {});
+    corpus.push_back(ir::ToBtor2(ts));
+  }
+  Rng rng(kSeed + 4);
+  size_t accepted = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const std::string text = Mutate(rng, corpus[rng.NextBelow(corpus.size())],
+                                    corpus, kModelTokens);
+    const StatusOr<std::unique_ptr<ir::TransitionSystem>> imported =
+        ir::ImportBtor2String(text);
+    ExpectDecodedOrStatus(imported);
+    if (!imported.ok()) continue;
+    ++accepted;
+    const Status valid = imported.value()->Validate();
+    EXPECT_TRUE(valid.ok()) << valid.message();
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

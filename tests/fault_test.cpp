@@ -1,8 +1,16 @@
 // Fault-injection engine and resource-governance tests: deterministic
 // mutant enumeration/sampling, mutant validity and observability, UNKNOWN
 // reason codes through solver/BMC/session, the escalating-budget retry
-// policy, and campaign classification determinism across worker counts.
+// policy, campaign classification determinism across worker counts, and
+// the campaign's precedence rounds.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "accel/dataflow.h"
 #include "accel/memctrl.h"
@@ -13,6 +21,7 @@
 #include "fault/mutator.h"
 #include "sched/cancellation.h"
 #include "sched/session.h"
+#include "service/registry.h"
 #include "sim/simulator.h"
 
 namespace aqed::fault {
@@ -434,6 +443,156 @@ TEST(FaultCampaignTest, ClassificationsAreIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(serial.count(Classification::kUnknown), 0u);
   EXPECT_DOUBLE_EQ(serial.classified_fraction(), 1.0);
   EXPECT_FALSE(serial.ToTable().empty());
+}
+
+// The precedence rounds run FC for every mutant, RB for those FC did not
+// detect and SAC for those neither detected. Seed 5 samples 10 ALU mutants
+// that FC, RB and SAC each detect, plus one that survives.
+std::vector<DesignUnderTest> AluDesign() {
+  service::CatalogOptions catalog;
+  catalog.with_aes = false;
+  return {*service::FindDesign(service::BuiltinDesigns(catalog), "alu")};
+}
+
+FaultCampaignOptions AluCampaign(uint32_t jobs) {
+  FaultCampaignOptions options;
+  options.seed = 5;
+  options.num_mutants = 10;
+  options.session.jobs = jobs;
+  return options;
+}
+
+// Every property job of every mutant in one all-jobs session, each
+// mutant's jobs folded by ClassifyEntry.
+std::vector<EntryVerdict> FoldEveryJob(const DesignUnderTest& dut,
+                                       const std::vector<MutantReport>& mutants,
+                                       core::SessionOptions session_options) {
+  session_options.cancel = core::SessionOptions::CancelPolicy::kNone;
+  sched::VerificationSession session(session_options);
+  std::vector<core::JobHandle> handles;
+  for (const MutantReport& mutant : mutants) {
+    handles.push_back(
+        session.Enqueue(MutantBuilder(dut.build, mutant.key), dut.options));
+  }
+  const core::SessionResult result = session.Wait();
+  std::vector<EntryVerdict> folded;
+  for (const core::JobHandle& handle : handles) {
+    folded.push_back(ClassifyEntry(result, handle.index()));
+  }
+  return folded;
+}
+
+// The stats rows of one mutant's jobs (every attempt), in run order.
+std::vector<JobStat> RowsOf(const FaultCampaignResult& result,
+                            const MutantReport& mutant) {
+  const std::string prefix = mutant.design + "/" + mutant.key.ToString() + "/";
+  std::vector<JobStat> rows;
+  for (const JobStat& row : result.stats.jobs()) {
+    if (row.label.rfind(prefix, 0) == 0) rows.push_back(row);
+  }
+  return rows;
+}
+
+TEST(FaultCampaignTest, PrecedenceRoundsFoldLikeEveryJobAndStopAtDetection) {
+  const auto designs = AluDesign();
+  const FaultCampaignResult serial =
+      RunFaultCampaign(designs, AluCampaign(1));
+  ASSERT_EQ(serial.mutants.size(), 10u);
+  for (const Classification c :
+       {Classification::kDetectedFc, Classification::kDetectedRb,
+        Classification::kDetectedSac, Classification::kSurvived}) {
+    EXPECT_GE(serial.count(c), 1u) << ClassificationName(c);
+  }
+
+  const std::vector<EntryVerdict> reference =
+      FoldEveryJob(designs[0], serial.mutants, {});
+  size_t expected_jobs = 0;
+  for (size_t i = 0; i < serial.mutants.size(); ++i) {
+    const MutantReport& mutant = serial.mutants[i];
+    const EntryVerdict& folded = reference[i];
+    const std::string key = mutant.key.ToString();
+    EXPECT_EQ(mutant.classification, folded.classification) << key;
+    EXPECT_EQ(mutant.kind, folded.kind) << key;
+    EXPECT_EQ(mutant.cex_cycles, folded.cex_cycles) << key;
+    EXPECT_EQ(mutant.attempts, folded.attempts) << key;
+    EXPECT_EQ(mutant.unknown_reason, folded.unknown_reason) << key;
+
+    // The jobs this mutant ran: FC, then RB, then SAC, up to its first
+    // detection.
+    std::vector<std::string> expected = {"FC", "RB", "SAC"};
+    if (mutant.classification == Classification::kDetectedFc) {
+      expected.resize(1);
+    } else if (mutant.classification == Classification::kDetectedRb) {
+      expected.resize(2);
+    }
+    expected_jobs += expected.size();
+    const std::string prefix = "alu/" + key + "/";
+    std::vector<std::string> ran;
+    for (const JobStat& row : RowsOf(serial, mutant)) {
+      ran.push_back(row.label.substr(prefix.size()));
+    }
+    EXPECT_EQ(ran, expected) << key;
+  }
+  EXPECT_EQ(serial.stats.num_jobs(), expected_jobs);
+  EXPECT_LT(serial.stats.num_jobs(), 3 * serial.mutants.size());
+
+  // With retries, attempts is the max over the jobs a mutant ran. A
+  // conflict budget of 200 starves some jobs into a retry; the retries a
+  // skipped RB or SAC job would have needed no longer count, so attempts
+  // can fall below the all-jobs fold's, while classification, kind and
+  // cex_cycles still match it.
+  std::vector<DesignUnderTest> starved = designs;
+  starved[0].options.bmc.conflict_budget = 200;
+  FaultCampaignOptions retried = AluCampaign(1);
+  retried.session.retry.max_retries = 1;
+  const FaultCampaignResult rounds = RunFaultCampaign(starved, retried);
+  ASSERT_EQ(rounds.mutants.size(), serial.mutants.size());
+  const std::vector<EntryVerdict> all_jobs =
+      FoldEveryJob(starved[0], rounds.mutants, retried.session);
+  size_t fewer_attempts = 0;
+  for (size_t i = 0; i < rounds.mutants.size(); ++i) {
+    const MutantReport& mutant = rounds.mutants[i];
+    const std::string key = mutant.key.ToString();
+    EXPECT_EQ(mutant.classification, all_jobs[i].classification) << key;
+    EXPECT_EQ(mutant.kind, all_jobs[i].kind) << key;
+    EXPECT_EQ(mutant.cex_cycles, all_jobs[i].cex_cycles) << key;
+    uint32_t ran_attempts = 1;
+    for (const JobStat& row : RowsOf(rounds, mutant)) {
+      ran_attempts = std::max(ran_attempts, row.attempt + 1);
+    }
+    EXPECT_EQ(mutant.attempts, ran_attempts) << key;
+    EXPECT_LE(mutant.attempts, all_jobs[i].attempts) << key;
+    if (mutant.attempts < all_jobs[i].attempts) ++fewer_attempts;
+  }
+  EXPECT_GE(rounds.stats.num_retries(), 1u);
+  EXPECT_GE(fewer_attempts, 1u);
+
+  // The work done does not depend on the worker count or on batching: a
+  // journaled campaign verifies 8 mutants per batch, so 10 take two.
+  const std::string journal =
+      (std::filesystem::temp_directory_path() /
+       ("aqed_fault_rounds_" + std::to_string(::getpid())))
+          .string();
+  FaultCampaignOptions journaled = AluCampaign(1);
+  journaled.journal_path = journal;
+  for (const FaultCampaignResult& other :
+       {RunFaultCampaign(designs, AluCampaign(2)),
+        RunFaultCampaign(designs, journaled)}) {
+    ASSERT_EQ(other.mutants.size(), serial.mutants.size());
+    EXPECT_EQ(other.stats.num_jobs(), serial.stats.num_jobs());
+    for (size_t i = 0; i < serial.mutants.size(); ++i) {
+      const MutantReport& a = serial.mutants[i];
+      const MutantReport& b = other.mutants[i];
+      EXPECT_TRUE(a.key == b.key) << i;
+      EXPECT_EQ(a.classification, b.classification) << i;
+      EXPECT_EQ(a.kind, b.kind) << i;
+      EXPECT_EQ(a.cex_cycles, b.cex_cycles) << i;
+      EXPECT_EQ(a.attempts, b.attempts) << i;
+      EXPECT_EQ(a.unknown_reason, b.unknown_reason) << i;
+    }
+  }
+  std::remove(journal.c_str());
+  std::remove((journal + ".tmp").c_str());
 }
 
 }  // namespace

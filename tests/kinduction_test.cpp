@@ -65,6 +65,65 @@ TEST(KInductionTest, UndecidedBaseCaseEndsUnknown) {
   EXPECT_EQ(result.outcome, KInductionResult::Outcome::kUnknown);
 }
 
+// A query the solver must search: no 8-bit a, b > 1 multiply to the prime
+// 251, which takes many conflicts to refute. Stateless, base(1) refutes it
+// (and step(1) holds without a solve: no two frames differ). Gated by a
+// state bit that starts at 0 and never changes, beside a counter that
+// keeps the frames distinct, base(1) is constant false and step(1) must
+// refute it.
+ir::TransitionSystem MakeFactoringSystem(bool gated) {
+  ir::TransitionSystem ts;
+  auto& ctx = ts.ctx();
+  const NodeRef a = ts.AddInput("a", Sort::BitVec(8));
+  const NodeRef b = ts.AddInput("b", Sort::BitVec(8));
+  const NodeRef one = ctx.Const(8, 1);
+  NodeRef bad = ctx.And(ctx.Eq(ctx.Mul(ctx.Zext(a, 16), ctx.Zext(b, 16)),
+                               ctx.Const(16, 251)),
+                        ctx.And(ctx.Ugt(a, one), ctx.Ugt(b, one)));
+  if (gated) {
+    const NodeRef gate = ts.AddState("gate", Sort::BitVec(1), 0);
+    ts.SetNext(gate, gate);
+    const NodeRef count = ts.AddState("count", Sort::BitVec(8), 0);
+    ts.SetNext(count, ctx.Add(count, ctx.Const(8, 1)));
+    bad = ctx.And(gate, bad);
+  }
+  ts.AddBad(bad, "factors_251");
+  return ts;
+}
+
+TEST(KInductionTest, UnlimitedBudgetProvesTheFactoringQuery) {
+  for (const bool gated : {false, true}) {
+    const auto result = RunKInduction(MakeFactoringSystem(gated), {});
+    EXPECT_EQ(result.outcome, KInductionResult::Outcome::kProved) << gated;
+    EXPECT_EQ(result.k, 1u) << gated;
+    EXPECT_EQ(result.unknown_reason, UnknownReason::kNone) << gated;
+  }
+}
+
+// Budget 1 stops the base solve (stateless) or the step solve (gated).
+TEST(KInductionTest, ConflictBudgetEndsUnknownWithBudgetReason) {
+  for (const bool gated : {false, true}) {
+    KInductionOptions options;
+    options.conflict_budget = 1;
+    const auto result = RunKInduction(MakeFactoringSystem(gated), options);
+    EXPECT_EQ(result.outcome, KInductionResult::Outcome::kUnknown) << gated;
+    EXPECT_EQ(result.unknown_reason, UnknownReason::kConflictBudget)
+        << gated;
+  }
+}
+
+TEST(KInductionTest, PreCancelledRunEndsUnknownWithCancelReason) {
+  sched::CancellationSource source;
+  source.Cancel(sched::CancelReason::kDeadline);
+  KInductionOptions options;
+  options.solver_options.cancel = source.token();
+  for (const bool gated : {false, true}) {
+    const auto result = RunKInduction(MakeFactoringSystem(gated), options);
+    EXPECT_EQ(result.outcome, KInductionResult::Outcome::kUnknown) << gated;
+    EXPECT_EQ(result.unknown_reason, UnknownReason::kDeadline) << gated;
+  }
+}
+
 #if AQED_FAILPOINTS_ENABLED
 // A counterexample that fails simulator replay is reported as such (a
 // checker error for the caller), not an abort.
