@@ -164,6 +164,14 @@ FcInstrumentation InstrumentFc(ir::TransitionSystem& ts,
     fc.has_early_output_bad = true;
   }
 
+  // Equal inputs must give equal outputs: the data path need only be a
+  // function, so the unroller may abstract it (bmc::Unroller).
+  ir::TransitionSystem::DataPathHint hint;
+  for (const std::vector<NodeRef>& elem : acc.out_elems) {
+    hint.data_roots.insert(hint.data_roots.end(), elem.begin(), elem.end());
+  }
+  hint.control_roots = {acc.in_ready, acc.out_valid, acc.progress_qualifier};
+  ts.SetDataPathHint(std::move(hint));
   return fc;
 }
 

@@ -15,6 +15,9 @@
 // paper's footnote 1, FC is strengthened with a second bad predicate that
 // fires if the accelerator emits an output batch before having captured the
 // corresponding input batch.
+//
+// It also records the interface roots on the system as its DataPathHint,
+// from which bmc::Unroller abstracts the data path (DESIGN.md §6).
 #pragma once
 
 #include <string>

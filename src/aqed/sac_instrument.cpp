@@ -72,6 +72,9 @@ SacInstrumentation InstrumentSac(ir::TransitionSystem& ts,
       ctx.And(ctx.And(sac.first_out_event, ctx.Or(got_input, capture_in)),
               ctx.Not(all_match));
   sac.sac_bad_index = ts.AddBad(violation, options.label);
+  // SAC checks the outputs' values against the specification, so an FC
+  // monitor sharing this system may no longer abstract the data path.
+  ts.SetDataPathHint({});
   sac.got_input = got_input;
   return sac;
 }

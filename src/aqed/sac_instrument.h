@@ -9,7 +9,9 @@
 // The monitor constrains the environment to Def. 7's input shape — one valid
 // transaction presented from reset, nop afterwards — latches the captured
 // action/data, and checks that the first captured output batch equals
-// Spec(action, data).
+// Spec(action, data). Since that checks the data path's values, it clears
+// the system's DataPathHint: an FC monitor on the same system keeps a
+// concrete data path.
 #pragma once
 
 #include <functional>

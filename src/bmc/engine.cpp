@@ -1,5 +1,6 @@
 #include "bmc/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <numeric>
@@ -50,15 +51,20 @@ struct CubeOutcome {
   uint64_t conflicts = 0;
   uint64_t decisions = 0;
   bool ran = false;  // false: skipped because a sibling already won
+  bool concrete = false;  // kSat and the model passes the unroller's check
 };
 
 // Cube-and-conquer fan-out for one stalled depth: splits on the main
 // solver's hottest VSIDS variables and solves every cube on its own clone
 // of the incremental solver, concurrently. First SAT wins and cancels the
-// sibling cubes; UNSAT requires every cube refuted.
-DepthQuery SolveCubes(sat::Solver& main_solver, sat::Lit target,
-                      const BmcOptions& options, uint32_t depth,
-                      int64_t per_cube_budget) {
+// sibling cubes; UNSAT requires every cube refuted. A clone carries no model
+// check (sat::Solver::Clone), so a cube's model may be spurious under the
+// data-path abstraction: such a model neither wins nor cancels, every other
+// cube still runs, and the depth reports it as kSat for the caller to
+// refine. So the cubes that run do not depend on the worker count.
+DepthQuery SolveCubes(sat::Solver& main_solver, const Unroller& unroller,
+                      sat::Lit target, const BmcOptions& options,
+                      uint32_t depth, int64_t per_cube_budget) {
   DepthQuery query;
   query.cube_escalated = true;
 
@@ -117,7 +123,8 @@ DepthQuery SolveCubes(sat::Solver& main_solver, sat::Lit target,
         }
         if (out.result == sat::SolveResult::kSat) {
           out.model = worker->model();
-          won.Cancel(sched::CancelReason::kCubeSolved);
+          out.concrete = unroller.ModelIsConcrete(out.model);
+          if (out.concrete) won.Cancel(sched::CancelReason::kCubeSolved);
         }
       });
     }
@@ -126,16 +133,20 @@ DepthQuery SolveCubes(sat::Solver& main_solver, sat::Lit target,
 
   bool all_unsat = true;
   size_t sat_cube = cubes.size();
+  size_t spurious_cube = cubes.size();
   for (size_t i = 0; i < cubes.size(); ++i) {
     const CubeOutcome& out = outcomes[i];
     if (out.ran) ++query.cubes_solved;
     query.conflicts += out.conflicts;
     query.decisions += out.decisions;
-    if (out.result == sat::SolveResult::kSat && sat_cube == cubes.size()) {
-      sat_cube = i;  // lowest emitted index wins the report, for determinism
+    // The lowest emitted index wins the report, for determinism.
+    if (out.result == sat::SolveResult::kSat) {
+      size_t& first = out.concrete ? sat_cube : spurious_cube;
+      first = std::min(first, i);
     }
     if (out.result != sat::SolveResult::kUnsat) all_unsat = false;
   }
+  if (sat_cube == cubes.size()) sat_cube = spurious_cube;
   if (sat_cube < cubes.size()) {
     query.result = sat::SolveResult::kSat;
     query.model = std::move(outcomes[sat_cube].model);
@@ -153,7 +164,8 @@ DepthQuery SolveCubes(sat::Solver& main_solver, sat::Lit target,
 // One depth's query on the incremental solver, with the cube-and-conquer
 // escalation policy layered on when enabled: a monolithic attempt under the
 // escalation threshold first, then the cube fan-out for depths that stall.
-DepthQuery SolveWithEscalation(sat::Solver& main_solver, sat::Lit target,
+DepthQuery SolveWithEscalation(sat::Solver& main_solver,
+                               const Unroller& unroller, sat::Lit target,
                                const BmcOptions& options, uint32_t depth) {
   const int64_t budget = options.conflict_budget;
   const bool can_escalate =
@@ -187,8 +199,8 @@ DepthQuery SolveWithEscalation(sat::Solver& main_solver, sat::Lit target,
       budget < 0 ? -1
                  : std::max<int64_t>(
                        budget - options.cube.conflict_threshold, 1);
-  DepthQuery cube_query =
-      SolveCubes(main_solver, target, options, depth, per_cube_budget);
+  DepthQuery cube_query = SolveCubes(main_solver, unroller, target, options,
+                                     depth, per_cube_budget);
   cube_query.conflicts += query.conflicts;
   cube_query.decisions += query.decisions;
   return cube_query;
@@ -254,13 +266,18 @@ BmcResult RunBmc(const ir::TransitionSystem& ts, const BmcOptions& options_in) {
     if (solver.inconsistent()) break;       // constraints are contradictory
 
     telemetry::Span solve_span("bmc.solve_depth", {{"depth", depth}});
-    const DepthQuery query =
-        SolveWithEscalation(solver, any_bad, options, depth);
+    DepthQuery query;
+    do {
+      query = SolveWithEscalation(solver, unroller, any_bad, options, depth);
+      result.conflicts += query.conflicts;
+      result.decisions += query.decisions;
+      if (query.cube_escalated) ++result.cube_escalations;
+      result.cubes_solved += query.cubes_solved;
+      // A cube's model skipped the model check that the main solver's
+      // Solve applies: refine on it here, then solve the depth again.
+    } while (query.result == sat::SolveResult::kSat && query.cube_escalated &&
+             unroller.Refine(query.model));
     solve_span.End();
-    result.conflicts += query.conflicts;
-    result.decisions += query.decisions;
-    if (query.cube_escalated) ++result.cube_escalations;
-    result.cubes_solved += query.cubes_solved;
     if (query.result == sat::SolveResult::kUnknown) {
       if (options.cancel.cancelled()) {
         cancelled = true;
@@ -315,6 +332,7 @@ BmcResult RunBmc(const ir::TransitionSystem& ts, const BmcOptions& options_in) {
   }
   result.seconds = stopwatch.ElapsedSeconds();
   result.clauses = solver.num_clauses();
+  result.refinements = unroller.refinements();
   return result;
 }
 

@@ -96,6 +96,9 @@ struct BmcResult {
   // cube solves executed across them (cancelled siblings included).
   uint64_t cube_escalations = 0;
   uint64_t cubes_solved = 0;
+  // Data-path abstraction rounds (bmc::Unroller::Refine) that concretized
+  // nodes after a spurious model; zero for systems without a DataPathHint.
+  uint64_t refinements = 0;
 
   bool found_bug() const { return outcome == Outcome::kCounterexample; }
 };

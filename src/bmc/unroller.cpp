@@ -1,8 +1,11 @@
 #include "bmc/unroller.h"
 
+#include <algorithm>
 #include <array>
 
+#include "ir/eval.h"
 #include "support/status.h"
+#include "telemetry/metrics.h"
 
 namespace aqed::bmc {
 
@@ -13,9 +16,87 @@ using ir::NodeRef;
 using ir::Op;
 using ir::Sort;
 
+namespace {
+
+// Marks the cone of `roots`: every node they reach through operands and,
+// at states, through next-state functions.
+std::vector<bool> Cone(const ir::TransitionSystem& ts,
+                       std::vector<NodeRef> roots) {
+  const ir::Context& ctx = ts.ctx();
+  std::vector<bool> in_cone(ctx.num_nodes(), false);
+  while (!roots.empty()) {
+    const NodeRef ref = roots.back();
+    roots.pop_back();
+    if (ref == ir::kNullNode || in_cone[ref]) continue;
+    in_cone[ref] = true;
+    const Node& node = ctx.node(ref);
+    roots.insert(roots.end(), node.operands.begin(), node.operands.end());
+    if (node.op == Op::kState) roots.push_back(ts.next(ref));
+  }
+  return in_cone;
+}
+
+bool IsArithmetic(Op op) {
+  return op == Op::kAdd || op == Op::kSub || op == Op::kMul;
+}
+
+// Equality of two literals, as clauses under the condition `when`.
+void AssertEqualWhen(sat::Solver& solver, sat::Lit when, sat::Lit a,
+                     sat::Lit b) {
+  solver.AddClause({~when, ~a, b});
+  solver.AddClause({~when, a, ~b});
+}
+
+}  // namespace
+
 Unroller::Unroller(const ir::TransitionSystem& ts,
                    bitblast::BitBlaster& blaster, bool free_initial_state)
-    : ts_(ts), blaster_(blaster), free_initial_state_(free_initial_state) {}
+    : ts_(ts), blaster_(blaster), free_initial_state_(free_initial_state) {
+  SelectAbstractNodes();
+  if (!abstracted_nodes_.empty()) {
+    blaster_.gates().solver().SetModelCheck(
+        [this](std::span<const sat::LBool> model) { return Refine(model); });
+  }
+}
+
+Unroller::~Unroller() {
+  if (!abstracted_nodes_.empty()) {
+    blaster_.gates().solver().SetModelCheck(nullptr);
+  }
+}
+
+void Unroller::SelectAbstractNodes() {
+  const ir::TransitionSystem::DataPathHint& hint = ts_.data_path_hint();
+  if (hint.data_roots.empty()) return;
+  const ir::Context& ctx = ts_.ctx();
+  // An array index selects which element moves, so it is control even
+  // where it only feeds data: abstracting a FIFO's pointer increments
+  // lets the solver read any slot.
+  std::vector<NodeRef> control = hint.control_roots;
+  for (NodeRef ref = 1; ref < ctx.num_nodes(); ++ref) {
+    const Node& node = ctx.node(ref);
+    if (node.op == Op::kRead || node.op == Op::kWrite) {
+      control.push_back(node.operands[1]);
+    }
+  }
+  const std::vector<bool> data = Cone(ts_, hint.data_roots);
+  const std::vector<bool> reaches_control = Cone(ts_, std::move(control));
+  abstract_.assign(ctx.num_nodes(), 0);
+  for (NodeRef ref = 1; ref < ctx.num_nodes(); ++ref) {
+    const Node& node = ctx.node(ref);
+    if (!data[ref] || reaches_control[ref] || !IsArithmetic(node.op) ||
+        node.sort.width < 2) {
+      continue;
+    }
+    for (NodeRef operand : node.operands) {
+      if (ctx.node(operand).op != Op::kConst) {
+        abstract_[ref] = 1;
+        abstracted_nodes_.push_back(ref);
+        break;
+      }
+    }
+  }
+}
 
 void Unroller::AddFrame() {
   const uint32_t frame = num_frames();
@@ -84,21 +165,108 @@ void Unroller::AddFrame() {
       default:
         break;
     }
-    // Generic scalar operation.
-    std::array<Bits, 3> operand_bits;
-    for (size_t i = 0; i < node.operands.size(); ++i) {
-      operand_bits[i] = scalars[node.operands[i]];
-    }
-    scalars[ref] = blaster_.EvalScalarOp(
-        node.op, node.sort.width,
-        std::span(operand_bits.data(), node.operands.size()), node.aux0,
-        node.aux1);
+    scalars[ref] = ref < abstract_.size() && abstract_[ref]
+                       ? AbstractInstance(ref, frame)
+                       : EncodeOp(ref, frame);
   }
 
   // Environment assumptions hold in every frame.
   for (NodeRef constraint : ts_.constraints()) {
     blaster_.gates().Assert(scalars[constraint][0]);
   }
+}
+
+Bits Unroller::EncodeOp(NodeRef ref, uint32_t frame) {
+  const Node& node = ts_.ctx().node(ref);
+  std::array<Bits, 3> operand_bits;
+  for (size_t i = 0; i < node.operands.size(); ++i) {
+    operand_bits[i] = scalar_frames_[frame][node.operands[i]];
+  }
+  return blaster_.EvalScalarOp(
+      node.op, node.sort.width,
+      std::span(operand_bits.data(), node.operands.size()), node.aux0,
+      node.aux1);
+}
+
+Bits Unroller::AbstractInstance(NodeRef ref, uint32_t frame) {
+  bitblast::GateBuilder& gates = blaster_.gates();
+  const Node& node = ts_.ctx().node(ref);
+  const std::vector<Bits>& scalars = scalar_frames_[frame];
+  const auto constant = [&](NodeRef operand) {
+    return std::ranges::all_of(
+        scalars[operand], [&](sat::Lit lit) { return gates.IsConstant(lit); });
+  };
+  // Over constant operands the encoding folds to a constant: keep it.
+  if (std::ranges::all_of(node.operands, constant)) return EncodeOp(ref, frame);
+  const Bits out = blaster_.Fresh(node.sort.width);
+  for (uint32_t earlier = 0; earlier < frame; ++earlier) {
+    sat::Lit same_operands = gates.True();
+    for (NodeRef operand : node.operands) {
+      same_operands = gates.And(
+          same_operands,
+          blaster_.Eq(scalars[operand], scalar_frames_[earlier][operand]));
+    }
+    if (gates.IsFalse(same_operands)) continue;
+    const Bits& other = scalar_frames_[earlier][ref];
+    for (size_t bit = 0; bit < out.size(); ++bit) {
+      AssertEqualWhen(gates.solver(), same_operands, out[bit], other[bit]);
+    }
+  }
+  return out;
+}
+
+bool Unroller::InstancesHold(std::span<const sat::LBool> model,
+                             NodeRef ref) const {
+  const ir::Context& ctx = ts_.ctx();
+  const Node& node = ctx.node(ref);
+  const size_t arity = node.operands.size();
+  std::array<uint64_t, 3> values;
+  std::array<uint32_t, 3> widths;
+  for (size_t i = 0; i < arity; ++i) widths[i] = ctx.width(node.operands[i]);
+  for (const std::vector<Bits>& scalars : scalar_frames_) {
+    for (size_t i = 0; i < arity; ++i) {
+      values[i] = ModelOfBits(model, scalars[node.operands[i]]);
+    }
+    if (ir::EvalScalarOp(node.op, node.sort.width,
+                         std::span(values.data(), arity),
+                         std::span(widths.data(), arity), node.aux0,
+                         node.aux1) != ModelOfBits(model, scalars[ref])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool Unroller::ModelIsConcrete(std::span<const sat::LBool> model) const {
+  for (NodeRef ref : abstracted_nodes_) {
+    if (abstract_[ref] && !InstancesHold(model, ref)) return false;
+  }
+  return true;
+}
+
+bool Unroller::Refine(std::span<const sat::LBool> model) {
+  // Evaluate every instance before adding anything: new variables leave
+  // the solver's model behind `model`.
+  std::vector<NodeRef> wrong;
+  for (NodeRef ref : abstracted_nodes_) {
+    if (abstract_[ref] && !InstancesHold(model, ref)) wrong.push_back(ref);
+  }
+  if (wrong.empty()) return false;
+  bitblast::GateBuilder& gates = blaster_.gates();
+  for (NodeRef ref : wrong) {
+    abstract_[ref] = 0;  // later frames encode it concretely
+    for (uint32_t frame = 0; frame < num_frames(); ++frame) {
+      const Bits concrete = EncodeOp(ref, frame);
+      const Bits& out = scalar_frames_[frame][ref];
+      for (size_t bit = 0; bit < out.size(); ++bit) {
+        AssertEqualWhen(gates.solver(), gates.True(), out[bit],
+                        concrete[bit]);
+      }
+    }
+  }
+  ++refinements_;
+  telemetry::AddCounter("bmc.refinements", 1);
+  return true;
 }
 
 sat::Lit Unroller::FramesEqual(uint32_t frame_a, uint32_t frame_b) {

@@ -1,10 +1,26 @@
 // Time-frame expansion of a transition system into CNF.
 //
-// Frame t maps every IR node to a literal vector. Inputs get fresh literals
-// per frame; states are init constants (or fresh literals when
-// uninitialized) at frame 0 and the previous frame's next-function bits
-// afterwards; environment constraints are asserted in every frame. The
-// expansion is eager per frame and iterative (node order is topological).
+// Frame t maps every scalar IR node to a literal vector and every array node
+// to one literal vector per element. Inputs get fresh literals per frame;
+// states take their init constants at frame 0 (fresh literals when
+// uninitialized, or for every state with `free_initial_state`) and the
+// previous frame's next-function literals afterwards; environment
+// constraints are asserted in every frame. AddFrame expands one whole frame
+// in node order, which is topological.
+//
+// Data-path abstraction. A system that carries a DataPathHint (core::
+// InstrumentFc) is checked only for functional consistency, which needs the
+// data path to be *a* function, not *this* one. The constructor derives the
+// data nodes: the cone of the hint's data roots minus the cone of its
+// control roots and of every array index, both cones followed through
+// next-state functions. Each kAdd/kSub/kMul data node of width >= 2 with a
+// non-constant operand is abstract: each frame gives it fresh output bits
+// plus Ackermann constraints against its instances in earlier frames (equal
+// operands imply equal outputs), instead of a carry chain. The abstraction
+// over-approximates, so an UNSAT depth is UNSAT concretely. The unroller
+// installs Refine as its solver's model check (sat::Solver::SetModelCheck),
+// so Solve only returns models in which every abstract instance computes
+// its operation; a node caught computing something else is concretized.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +40,11 @@ class Unroller {
   // k-induction (any state, not just the reset state).
   Unroller(const ir::TransitionSystem& ts, bitblast::BitBlaster& blaster,
            bool free_initial_state = false);
+  // Removes the model check from the solver, which must still exist.
+  ~Unroller();
+
+  Unroller(const Unroller&) = delete;
+  Unroller& operator=(const Unroller&) = delete;
 
   // Expands one more time frame (frame index == previous num_frames()).
   void AddFrame();
@@ -51,15 +72,49 @@ class Unroller {
   // (loop-freeness) constraints in k-induction.
   sat::Lit FramesEqual(uint32_t frame_a, uint32_t frame_b);
 
+  // The data-path nodes abstracted at construction, in node order; empty
+  // for a system without a DataPathHint.
+  const std::vector<ir::NodeRef>& abstracted_nodes() const {
+    return abstracted_nodes_;
+  }
+
+  // Whether every abstract instance in `model` holds the value its
+  // operation gives its operands' values, i.e. the model is concrete.
+  // Read-only, so cube workers may call it concurrently.
+  bool ModelIsConcrete(std::span<const sat::LBool> model) const;
+
+  // Concretizes every abstract node with a wrong instance in `model`: in
+  // all frames built so far through equality clauses, and in every later
+  // frame by its bit-level encoding. Returns whether it concretized any.
+  // Adds clauses, so the solver must be at decision level 0.
+  bool Refine(std::span<const sat::LBool> model);
+
+  // Refine calls that concretized at least one node.
+  uint64_t refinements() const { return refinements_; }
+
  private:
   uint64_t ModelOfBits(std::span<const sat::LBool> model,
                        const bitblast::Bits& bits) const;
+  // Derives the abstract nodes from the system's DataPathHint.
+  void SelectAbstractNodes();
+  // The bit-level encoding of scalar operation `ref` over its operands'
+  // literals in `frame`.
+  bitblast::Bits EncodeOp(ir::NodeRef ref, uint32_t frame);
+  // Fresh output bits of abstract node `ref` in `frame`, with Ackermann
+  // constraints against its instances in earlier frames.
+  bitblast::Bits AbstractInstance(ir::NodeRef ref, uint32_t frame);
+  // Whether `ref` computes its operation in every frame of `model`.
+  bool InstancesHold(std::span<const sat::LBool> model,
+                     ir::NodeRef ref) const;
 
   const ir::TransitionSystem& ts_;
   bitblast::BitBlaster& blaster_;
   const bool free_initial_state_;
   std::vector<std::vector<bitblast::Bits>> scalar_frames_;      // [frame][node]
   std::vector<std::vector<bitblast::ArrayBits>> array_frames_;  // [frame][node]
+  std::vector<ir::NodeRef> abstracted_nodes_;
+  std::vector<uint8_t> abstract_;  // [node]: still abstract
+  uint64_t refinements_ = 0;
 };
 
 }  // namespace aqed::bmc

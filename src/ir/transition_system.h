@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ir/context.h"
@@ -47,6 +48,19 @@ class TransitionSystem {
   // Names a signal for tracing / simulation visibility.
   void AddOutput(const std::string& name, NodeRef node);
 
+  // Interface roots of a functional-consistency check, recorded by
+  // core::InstrumentFc. FC asks only whether equal inputs give equal
+  // outputs, so arithmetic that feeds the data roots but none of the
+  // control roots may be abstracted (bmc::Unroller). A hint, not semantics:
+  // digests, cache keys and the BTOR2 printer ignore it.
+  struct DataPathHint {
+    std::vector<NodeRef> data_roots;     // output words
+    // Handshake and progress signals; kNullNode entries are ignored.
+    std::vector<NodeRef> control_roots;
+  };
+  void SetDataPathHint(DataPathHint hint) { data_path_hint_ = std::move(hint); }
+  const DataPathHint& data_path_hint() const { return data_path_hint_; }
+
   NodeRef next(NodeRef state) const;
   bool has_init(NodeRef state) const { return init_.contains(state); }
   // Initial value of a (bitvector or array) state; arrays are uniform-init.
@@ -72,6 +86,7 @@ class TransitionSystem {
   std::vector<NodeRef> bads_;
   std::vector<std::string> bad_labels_;
   std::vector<std::pair<std::string, NodeRef>> outputs_;
+  DataPathHint data_path_hint_;
 };
 
 }  // namespace aqed::ir

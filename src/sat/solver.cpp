@@ -427,11 +427,16 @@ void Solver::InsertVarOrder(Var var) {
 
 Var Solver::HeapPop() {
   const Var top = heap_[0];
-  heap_index_[top] = kVarUndef;
-  heap_[0] = heap_.back();
-  heap_index_[heap_[0]] = 0;
+  const Var last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) HeapDown(0);
+  heap_index_[top] = kVarUndef;
+  // When `top` was the last element, moving `last` into the root would mark
+  // it as in the heap again, and it would never be reinserted.
+  if (!heap_.empty()) {
+    heap_[0] = last;
+    heap_index_[last] = 0;
+    HeapDown(0);
+  }
   return top;
 }
 
@@ -779,6 +784,13 @@ SolveResult Solver::Solve(std::span<const Lit> assumptions,
     total_conflicts +=
         static_cast<int64_t>(stats_.conflicts - conflicts_before);
     if (result == SolveResult::kUnknown) ++stats_.restarts;
+    if (result == SolveResult::kSat && model_check_) {
+      // The check adds clauses, which needs decision level 0.
+      CancelUntil(0);
+      if (model_check_(model_)) {
+        result = ok_ ? SolveResult::kUnknown : SolveResult::kUnsat;
+      }
+    }
   }
   CancelUntil(0);
   // Record why an inconclusive solve stopped: the only ways out of the

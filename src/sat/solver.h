@@ -4,8 +4,9 @@
 // heuristic with a binary order heap, phase saving, first-UIP conflict
 // analysis with deep clause minimization (pruned by MiniSat's abstract
 // decision levels), Luby restarts, activity-driven learnt-clause database
-// reduction, and incremental solving under assumptions with failed-assumption
-// (unsat core over assumptions) extraction.
+// reduction, incremental solving under assumptions with failed-assumption
+// (unsat core over assumptions) extraction, and a model check through which
+// a lazily refined encoding rejects spurious models inside Solve.
 //
 // Assignments live in a literal-indexed value table: both polarities of a
 // variable are written on assignment and cleared on backtrack, so the value
@@ -17,8 +18,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sat/types.h"
@@ -102,6 +105,16 @@ class Solver {
   SolveResult Solve(std::span<const Lit> assumptions = {}) {
     return Solve(assumptions, SolveLimits{});
   }
+
+  // A check on every model the search finds, for lazily refined encodings
+  // (bmc::Unroller's data-path abstraction). Solve calls it at decision
+  // level 0 with the model; the check either accepts the model (returns
+  // false) or adds clauses that exclude it (returns true), and then the
+  // search goes on. So Solve returns only models the check accepts, and
+  // kUnsat once the added clauses leave none. The model span is stale once
+  // the check adds a variable. Clone does not copy the check.
+  using ModelCheck = std::function<bool(std::span<const LBool> model)>;
+  void SetModelCheck(ModelCheck check) { model_check_ = std::move(check); }
 
   // Deep-copies the full solver state — problem and learnt clauses, level-0
   // trail, VSIDS activities, saved phases — into a fresh solver running
@@ -241,6 +254,7 @@ class Solver {
 
   Options options_;
   Statistics stats_;
+  ModelCheck model_check_;
 
   std::vector<uint32_t> arena_;
   // Words of removed clauses still in arena_, reclaimed by CompactArena.

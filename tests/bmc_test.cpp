@@ -1,11 +1,15 @@
 // BMC engine tests: reachability depth exactness, constraints, multiple bad
 // predicates, trace extraction and replay, uninitialized (symbolic) state,
-// arrays, conflict budgets, and a pin on the solver's work.
+// arrays, conflict budgets, pins on the solver's work, and the data-path
+// abstraction of FC systems.
 #include <gtest/gtest.h>
 
+#include "accel/dataflow.h"
 #include "accel/memctrl.h"
 #include "aqed/fc_instrument.h"
+#include "aqed/sac_instrument.h"
 #include "bmc/engine.h"
+#include "bmc/unroller.h"
 #include "ir/transition_system.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
@@ -265,6 +269,89 @@ TEST(BmcTest, FifoPtrNoWrapBugWorkIsPinned) {
   EXPECT_EQ(result.trace.length(), 8u);
   EXPECT_EQ(result.conflicts, 6485u);
   EXPECT_EQ(result.decisions, 33786u);
+}
+
+// The data path an Unroller abstracts for `ts`.
+std::vector<NodeRef> AbstractedNodes(const ir::TransitionSystem& ts) {
+  sat::Solver solver;
+  bitblast::GateBuilder gates(solver);
+  bitblast::BitBlaster blaster(gates);
+  const Unroller unroller(ts, blaster);
+  return unroller.abstracted_nodes();
+}
+
+// Clean dataflow FC at signoff's bound: its x*3 and +7 stages are abstract,
+// and the refutation needs no refinement (the abstraction is refuted as it
+// stands). The concrete encoding needed 48,338 conflicts here.
+TEST(DataPathAbstractionTest, CleanDataflowFcWorkIsPinned) {
+  ir::TransitionSystem ts;
+  const auto design = accel::BuildDataflow(ts, {});
+  const core::FcInstrumentation fc = core::InstrumentFc(ts, design.acc);
+  EXPECT_EQ(AbstractedNodes(ts).size(), 2u);
+  BmcOptions options;
+  options.max_bound = 10;
+  options.bad_filter = {fc.fc_bad_index};
+  if (fc.has_early_output_bad) {
+    options.bad_filter.push_back(fc.early_output_bad_index);
+  }
+  const BmcResult result = RunBmc(ts, options);
+  EXPECT_EQ(result.outcome, BmcResult::Outcome::kBoundReached);
+  EXPECT_EQ(result.refinements, 0u);
+  EXPECT_EQ(result.conflicts, 8314u);
+}
+
+// Without the FC hint nothing is abstract: the same design's RB system, and
+// any system that never went through InstrumentFc, unroll as before.
+TEST(DataPathAbstractionTest, SystemsWithoutTheHintStayConcrete) {
+  ir::TransitionSystem ts;
+  accel::BuildDataflow(ts, {});
+  EXPECT_TRUE(AbstractedNodes(ts).empty());
+  EXPECT_TRUE(AbstractedNodes(MakeCounter(5, 4)).empty());
+}
+
+// SAC checks the outputs' values, so a system that carries both monitors
+// keeps its data path concrete.
+TEST(DataPathAbstractionTest, SacOnTheSameSystemKeepsItConcrete) {
+  ir::TransitionSystem ts;
+  const auto design = accel::BuildDataflow(ts, {});
+  core::InstrumentFc(ts, design.acc);
+  ASSERT_FALSE(AbstractedNodes(ts).empty());
+  core::InstrumentSac(ts, design.acc, accel::DataflowSpec());
+  EXPECT_TRUE(AbstractedNodes(ts).empty());
+}
+
+// A spurious model of the abstraction is refined inside the solve, so the
+// counterexample RunBmc reports is concrete: a bug whose real witness is
+// deep still gets its exact depth.
+TEST(DataPathAbstractionTest, SpuriousModelsAreRefinedInsideTheSolve) {
+  ir::TransitionSystem ts;
+  auto& ctx = ts.ctx();
+  // acc += in every cycle; the bad needs acc to reach exactly 12 after the
+  // input stays 3, which the abstract adder could claim at any depth.
+  const NodeRef in = ts.AddInput("in", Sort::BitVec(8));
+  const NodeRef acc = ts.AddState("acc", Sort::BitVec(8), 0);
+  const NodeRef sum = ctx.Add(acc, in);
+  ts.SetNext(acc, sum);
+  ts.AddConstraint(ctx.Eq(in, ctx.Const(8, 3)));
+  ts.AddBad(ctx.Eq(acc, ctx.Const(8, 12)), "acc_is_12");
+  ts.SetDataPathHint({.data_roots = {acc}, .control_roots = {}});
+  ASSERT_EQ(AbstractedNodes(ts), std::vector<NodeRef>{sum});
+
+  BmcOptions options;
+  options.max_bound = 8;
+  const telemetry::Counter& refinements =
+      telemetry::MetricsRegistry::Global().counter("bmc.refinements");
+  const uint64_t refinements_before = refinements.value();
+  telemetry::SetEnabled(true);
+  const BmcResult result = RunBmc(ts, options);
+  telemetry::SetEnabled(false);
+  ASSERT_TRUE(result.found_bug());
+  EXPECT_EQ(result.trace.length(), 5u);
+  EXPECT_TRUE(result.trace_validated);
+  EXPECT_GE(result.refinements, 1u);
+#if AQED_TELEMETRY_ENABLED
+  EXPECT_EQ(refinements.value() - refinements_before, result.refinements);
+#endif
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // seed-deterministic), solver cloning for cube workers, the BMC escalation
 // policy (cube verdicts identical to monolithic solving on buggy and clean
 // designs), first-SAT-wins sibling cancellation under real concurrency
-// (exercised by the tsan preset), and the one-token cancellation contract.
+// (exercised by the tsan preset), spurious cube models under FC's data-path
+// abstraction, and the one-token cancellation contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -317,6 +318,75 @@ TEST(BmcCubeTest, SiblingCancellationUnderConcurrentWorkers) {
     EXPECT_EQ(cubed.cex_cycles(), mono.cex_cycles()) << run;
     EXPECT_TRUE(cubed.aqed().bmc.trace_validated) << run;
   }
+}
+
+// A clean accelerator with two arithmetic paths for one function:
+// alternate transactions compute x*5 and (x<<2)+x. FC holds, but the
+// data-path abstraction gives the two paths unrelated functions, so its
+// first models are spurious until refinement concretizes them.
+core::AcceleratorInterface BuildTwoPathScaler(ir::TransitionSystem& ts) {
+  using ir::NodeRef;
+  using ir::Sort;
+  auto& ctx = ts.ctx();
+  const NodeRef in_valid = ts.AddInput("in_valid", Sort::BitVec(1));
+  const NodeRef in_data = ts.AddInput("in_data", Sort::BitVec(8));
+  const NodeRef host_ready = ts.AddInput("host_ready", Sort::BitVec(1));
+  const NodeRef full = ts.AddState("full", Sort::BitVec(1), 0);
+  const NodeRef out = ts.AddState("out", Sort::BitVec(8), 0);
+  const NodeRef shift_add_path =
+      ts.AddState("shift_add_path", Sort::BitVec(1), 0);
+  const NodeRef in_ready = ctx.Not(full);
+  const NodeRef capture = ctx.And(in_valid, in_ready);
+  const NodeRef drain = ctx.And(full, host_ready);
+  const NodeRef product = ctx.Mul(in_data, ctx.Const(8, 5));
+  const NodeRef shift_add =
+      ctx.Add(ctx.Shl(in_data, ctx.Const(8, 2)), in_data);
+  ts.SetNext(out, ctx.Ite(capture,
+                          ctx.Ite(shift_add_path, shift_add, product), out));
+  ts.SetNext(full, ctx.Ite(capture, ctx.True(),
+                           ctx.Ite(drain, ctx.False(), full)));
+  ts.SetNext(shift_add_path,
+             ctx.Ite(capture, ctx.Not(shift_add_path), shift_add_path));
+  core::AcceleratorInterface acc;
+  acc.in_valid = in_valid;
+  acc.in_ready = in_ready;
+  acc.host_ready = host_ready;
+  acc.out_valid = full;
+  acc.data_elems = {{in_data}};
+  acc.out_elems = {{out}};
+  return acc;
+}
+
+// Cube clones carry no model check, so at an escalated depth a cube can
+// return a spurious model of the abstraction. RunBmc refines on the main
+// solver and solves the depth again; a spurious model never wins a depth
+// or cancels its siblings, so every cube runs and the conflicts do not
+// depend on the worker count.
+TEST(BmcCubeTest, SpuriousCloneModelsAreRefinedAndDeterministic) {
+  core::AqedOptions fc;
+  fc.bmc.max_bound = 8;
+  const core::SessionResult mono =
+      core::CheckAccelerator(BuildTwoPathScaler, fc);
+  ASSERT_FALSE(mono.bug_found());
+  EXPECT_GE(mono.aqed().bmc.refinements, 1u);
+
+  std::vector<uint64_t> conflicts;
+  for (uint32_t jobs : {1u, 4u}) {
+    auto cube = EagerCubes(jobs);
+    cube.num_split_vars = 3;
+    const auto options =
+        core::AqedOptions::Builder(fc).WithCubes(cube).Build();
+    const core::SessionResult cubed =
+        core::CheckAccelerator(BuildTwoPathScaler, options);
+    EXPECT_FALSE(cubed.bug_found()) << jobs;
+    EXPECT_EQ(cubed.cex_cycles(), mono.cex_cycles()) << jobs;
+    EXPECT_EQ(cubed.aqed().bmc.outcome,
+              bmc::BmcResult::Outcome::kBoundReached);
+    EXPECT_GT(cubed.aqed().bmc.cube_escalations, 0u);
+    EXPECT_GE(cubed.aqed().bmc.refinements, 1u);
+    conflicts.push_back(cubed.conflicts());
+  }
+  EXPECT_EQ(conflicts[0], conflicts[1]);
 }
 
 TEST(BmcCubeTest, CubeSolvedReasonIsDistinguishable) {

@@ -6,7 +6,9 @@
 
 #include "accel/memctrl.h"
 #include "aqed/checker.h"
+#include "aqed/fc_instrument.h"
 #include "aqed/report.h"
+#include "bmc/unroller.h"
 #include "harness/conventional_flow.h"
 #include "sim/simulator.h"
 
@@ -162,6 +164,45 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(MemCtrlBugCatalog().begin(),
                         MemCtrlBugCatalog().end()),
     [](const auto& info) { return std::string(info.param.name); });
+
+// --- FC data-path abstraction on the catalog -------------------------------
+
+// The line buffer's multiply-accumulate feeds only the output word, so FC
+// abstracts it. These two bugs' first abstract models are spurious; one
+// refinement each makes them concrete, at the concrete counterexample
+// lengths, and the traces replay.
+TEST(MemCtrlAbstractionTest, LineBufferBugsAreFoundAfterRefinement) {
+  const std::pair<MemCtrlBug, uint32_t> cases[] = {
+      {MemCtrlBug::kLbStaleAccum, 9}, {MemCtrlBug::kLbBusyDoubleStep, 8}};
+  for (const auto& [bug, cex_cycles] : cases) {
+    auto options = MemCtrlAqedOptions(MemCtrlConfig::kLineBuffer);
+    options.fc_bound = 14;
+    options.bmc.conflict_budget = 400000;
+    const auto result = core::CheckAccelerator(
+        [bug](ir::TransitionSystem& t) {
+          return BuildMemCtrl(t, MemCtrlConfig::kLineBuffer, bug).acc;
+        },
+        core::RestrictTo(options, core::PropertyGroup::kFc));
+    ASSERT_TRUE(result.bug_found()) << static_cast<int>(bug);
+    EXPECT_EQ(result.kind(), core::BugKind::kFunctionalConsistency);
+    EXPECT_EQ(result.cex_cycles(), cex_cycles) << static_cast<int>(bug);
+    EXPECT_GE(result.aqed().bmc.refinements, 1u) << static_cast<int>(bug);
+    EXPECT_TRUE(result.aqed().bmc.trace_validated);
+  }
+}
+
+// The FIFO's data path runs through its memory: the pointer increments are
+// array indices, so FC abstracts nothing and its refutation is unchanged.
+TEST(MemCtrlAbstractionTest, FifoAbstractsNothing) {
+  ir::TransitionSystem ts;
+  const auto design = BuildMemCtrl(ts, MemCtrlConfig::kFifo);
+  core::InstrumentFc(ts, design.acc);
+  sat::Solver solver;
+  bitblast::GateBuilder gates(solver);
+  bitblast::BitBlaster blaster(gates);
+  const bmc::Unroller unroller(ts, blaster);
+  EXPECT_TRUE(unroller.abstracted_nodes().empty());
+}
 
 // --- conventional flow over the catalog --------------------------------------
 

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "sat/dimacs.h"
+#include "sched/cancellation.h"
 #include "support/rng.h"
 
 namespace aqed::sat {
@@ -169,6 +172,143 @@ TEST(SolverTest, IncrementalClauseAddition) {
   EXPECT_EQ(solver.ModelValue(y), LBool::kTrue);
   solver.AddClause({NegL(y)});
   EXPECT_EQ(solver.Solve(), SolveResult::kUnsat);
+}
+
+// Every Solve that ends kSat assigns every variable. The order heap once
+// lost the last variable it handed out on each satisfiable solve, so the
+// third solve here left a and b unassigned and (a | b) unsatisfied.
+TEST(SolverTest, RepeatedSolvesReturnCompleteModels) {
+  Solver solver;
+  const Var a = solver.NewVar(), b = solver.NewVar(), c = solver.NewVar();
+  ASSERT_TRUE(solver.AddClause({Pos(a), Pos(b)}));
+  for (int solve = 0; solve < 4; ++solve) {
+    ASSERT_EQ(solver.Solve(), SolveResult::kSat) << solve;
+    for (const Var var : {a, b, c}) {
+      EXPECT_NE(solver.ModelValue(var), LBool::kUndef) << solve;
+    }
+    EXPECT_TRUE(solver.ModelValue(a) == LBool::kTrue ||
+                solver.ModelValue(b) == LBool::kTrue)
+        << solve;
+  }
+}
+
+// --- model check (lazily refined encodings) ----------------------------------
+
+// Rejects every model with `x` false by adding, through a fresh variable v,
+// the clauses (v) and (~v | x); accepts the rest. Counts its calls.
+struct RequireX {
+  Solver& solver;
+  Var x;
+  int calls = 0;
+  bool operator()(std::span<const LBool> model) {
+    ++calls;
+    if (model[x] == LBool::kTrue) return false;
+    const Var v = solver.NewVar();
+    solver.AddClause({Pos(v)});
+    solver.AddClause({NegL(v), Pos(x)});
+    return true;
+  }
+};
+
+TEST(ModelCheckTest, RejectedModelIsRefinedAway) {
+  Solver solver;
+  const Var x = solver.NewVar(), y = solver.NewVar();
+  ASSERT_TRUE(solver.AddClause({Pos(x), Pos(y)}));
+  RequireX check{solver, x};
+  solver.SetModelCheck([&](std::span<const LBool> model) {
+    return check(model);
+  });
+  // The default phase is false, so the first model has x false.
+  EXPECT_EQ(solver.Solve(), SolveResult::kSat);
+  EXPECT_EQ(check.calls, 2);
+  EXPECT_EQ(solver.ModelValue(x), LBool::kTrue);
+  EXPECT_EQ(solver.model().size(), solver.num_vars());
+}
+
+TEST(ModelCheckTest, ContradictoryRefinementIsUnsat) {
+  Solver solver;
+  const Var x = solver.NewVar(), y = solver.NewVar();
+  ASSERT_TRUE(solver.AddClause({Pos(x), Pos(y)}));
+  solver.SetModelCheck([&](std::span<const LBool>) {
+    solver.AddClause({NegL(x)});
+    solver.AddClause({NegL(y)});
+    return true;
+  });
+  EXPECT_EQ(solver.Solve(), SolveResult::kUnsat);
+  EXPECT_TRUE(solver.inconsistent());
+}
+
+TEST(ModelCheckTest, RefinementContradictingAnAssumptionIsUnsatUnderIt) {
+  Solver solver;
+  const Var a = solver.NewVar(), x = solver.NewVar();
+  ASSERT_TRUE(solver.AddClause({NegL(a), Pos(x)}));  // a -> x
+  solver.SetModelCheck([&](std::span<const LBool> model) {
+    if (model[x] != LBool::kTrue) return false;
+    solver.AddClause({NegL(x)});
+    return true;
+  });
+  const Lit assume_a[] = {Pos(a)};
+  EXPECT_EQ(solver.Solve(assume_a), SolveResult::kUnsat);
+  EXPECT_FALSE(solver.failed_assumptions().empty());
+  EXPECT_EQ(solver.Solve(), SolveResult::kSat);
+  EXPECT_EQ(solver.ModelValue(a), LBool::kFalse);
+}
+
+// A check that blocks every model it sees, so only the budget or a cancel
+// ends the search.
+void BlockEveryModel(Solver& solver, int& calls) {
+  solver.SetModelCheck([&solver, &calls](std::span<const LBool> model) {
+    ++calls;
+    std::vector<Lit> blocking;
+    for (Var var = 0; var < model.size(); ++var) {
+      blocking.push_back(Lit(var, model[var] == LBool::kTrue));
+    }
+    solver.AddClause(blocking);
+    return true;
+  });
+}
+
+TEST(ModelCheckTest, ConflictBudgetStillEndsTheSolveUnknown) {
+  Solver solver;
+  for (int i = 0; i < 12; ++i) solver.NewVar();
+  int calls = 0;
+  BlockEveryModel(solver, calls);
+  EXPECT_EQ(solver.Solve({}, SolveLimits{.max_conflicts = 5}),
+            SolveResult::kUnknown);
+  EXPECT_EQ(solver.stats().last_unknown, UnknownReason::kConflictBudget);
+  EXPECT_GT(calls, 1);
+}
+
+TEST(ModelCheckTest, CancellationStillEndsTheSolveUnknown) {
+  sched::CancellationSource source;
+  Solver::Options options;
+  options.cancel = source.token();
+  Solver solver(options);
+  const Var x = solver.NewVar();
+  int calls = 0;
+  solver.SetModelCheck([&](std::span<const LBool>) {
+    ++calls;
+    source.Cancel();
+    solver.AddClause({Pos(x)});
+    return true;
+  });
+  EXPECT_EQ(solver.Solve(), SolveResult::kUnknown);
+  EXPECT_EQ(solver.stats().last_unknown, UnknownReason::kCancelled);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ModelCheckTest, CloneCarriesNoCheck) {
+  Solver solver;
+  const Var x = solver.NewVar(), y = solver.NewVar();
+  ASSERT_TRUE(solver.AddClause({Pos(x), Pos(y)}));
+  RequireX check{solver, x};
+  solver.SetModelCheck([&](std::span<const LBool> model) {
+    return check(model);
+  });
+  const std::unique_ptr<Solver> clone = solver.Clone(Solver::Options{});
+  EXPECT_EQ(clone->Solve(), SolveResult::kSat);
+  EXPECT_EQ(clone->ModelValue(x), LBool::kFalse);
+  EXPECT_EQ(check.calls, 0);
 }
 
 // --- randomized differential testing vs brute force ------------------------

@@ -14,9 +14,12 @@
 
 #include <unistd.h>
 
+#include "accel/dataflow.h"
 #include "aqed/checker.h"
+#include "aqed/fc_instrument.h"
 #include "aqed/monitor_util.h"
 #include "fault/campaign.h"
+#include "ir/btor2.h"
 #include "ir/digest.h"
 #include "service/cache.h"
 #include "service/client.h"
@@ -86,6 +89,23 @@ TEST(StructuralDigestTest, DeclarationOrderDoesNotChangeTheDigest) {
     two.AddBad(ctx.Eq(x, y), "eq");
   }
   EXPECT_EQ(ir::StructuralDigest(one), ir::StructuralDigest(two));
+}
+
+// The data-path hint InstrumentFc records is not part of what is solved:
+// digests and the BTOR2 text of an instrumented system ignore it, so solve
+// caches and journals written before the hint existed still hit.
+TEST(StructuralDigestTest, DataPathHintDoesNotChangeTheDigest) {
+  ir::TransitionSystem ts;
+  const core::AcceleratorInterface acc = accel::BuildDataflow(ts, {}).acc;
+  core::InstrumentFc(ts, acc);
+  ASSERT_FALSE(ts.data_path_hint().data_roots.empty());
+  const uint64_t digest = ir::StructuralDigest(ts);
+  const uint64_t anonymous = ir::AnonymousStructuralDigest(ts);
+  const std::string btor2 = ir::ToBtor2(ts);
+  ts.SetDataPathHint({});
+  EXPECT_EQ(ir::StructuralDigest(ts), digest);
+  EXPECT_EQ(ir::AnonymousStructuralDigest(ts), anonymous);
+  EXPECT_EQ(ir::ToBtor2(ts), btor2);
 }
 
 TEST(StructuralDigestTest, SemanticChangesChangeTheDigest) {
