@@ -1,13 +1,128 @@
 #include "aqed/fc_instrument.h"
 
+#include <algorithm>
+
 #include "aqed/monitor_util.h"
+#include "support/bits.h"
 #include "support/status.h"
 
 namespace aqed::core {
 
 using ir::Context;
+using ir::Node;
 using ir::NodeRef;
+using ir::Op;
 using ir::Sort;
+
+namespace {
+
+// Whether bit j of an `op` result depends, through operand `pos`, on that
+// operand's bit j alone: the positions data may move through.
+bool IsLanePosition(Op op, size_t pos) {
+  switch (op) {
+    case Op::kNot:
+    case Op::kAnd:
+    case Op::kOr:
+    case Op::kXor:
+      return true;
+    case Op::kIte:
+      return pos != 0;  // not the select
+    case Op::kRead:
+      return pos == 0;  // not the index
+    case Op::kWrite:
+      return pos != 1;  // not the index
+    default:
+      return false;
+  }
+}
+
+bool LaneUniform(uint64_t value, uint32_t width) {
+  return value == 0 || value == WidthMask(width);
+}
+
+// A constant (an array through its default element) whose bits are equal.
+bool IsUniformConstant(const Context& ctx, NodeRef ref) {
+  const Node& node = ctx.node(ref);
+  if (node.op == Op::kConstArray) {
+    return IsUniformConstant(ctx, node.operands[0]);
+  }
+  return node.op == Op::kConst && LaneUniform(node.const_val, node.sort.width);
+}
+
+// The data inputs whose bit lanes the unroller may tie, or none. They may
+// when the design only moves their bits (DESIGN.md §6 item 9): every node
+// that takes one of L — the data inputs' forward closure through operands
+// and next-state functions — uses it in a lane position beside L nodes or
+// lane-uniform constants, every L state starts lane-uniform, and no
+// handshake signal, constraint or bad is in L, while every output word is.
+// Then each FC violation has a lane-uniform twin of the same depth.
+std::vector<NodeRef> LaneTiedInputs(const ir::TransitionSystem& ts,
+                                    const AcceleratorInterface& acc) {
+  const Context& ctx = ts.ctx();
+  std::vector<uint8_t> lane(ctx.num_nodes(), 0);
+  std::vector<NodeRef> inputs;
+  for (const std::vector<NodeRef>& elem : acc.data_elems) {
+    for (NodeRef word : elem) {
+      if (ctx.node(word).op != Op::kInput) return {};
+      if (!lane[word]) inputs.push_back(word);
+      lane[word] = 1;
+    }
+  }
+  // Operands precede their users, so each pass closes L over operands; a
+  // state joins when its next function has, which takes another pass.
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (NodeRef ref = 1; ref < ctx.num_nodes(); ++ref) {
+      const Node& node = ctx.node(ref);
+      if (lane[ref] || node.op == Op::kInput) continue;
+      const bool joins =
+          node.op == Op::kState
+              ? lane[ts.next(ref)] != 0
+              : std::ranges::any_of(node.operands,
+                                    [&](NodeRef op) { return lane[op] != 0; });
+      if (joins) lane[ref] = grew = true;
+    }
+  }
+  for (NodeRef ref = 1; ref < ctx.num_nodes(); ++ref) {
+    const Node& node = ctx.node(ref);
+    if (!lane[ref] || node.op == Op::kInput) continue;
+    if (node.op == Op::kState) {
+      const uint32_t width =
+          node.sort.is_array() ? node.sort.elem_width : node.sort.width;
+      if (!ts.has_init(ref) || !LaneUniform(ts.init_value(ref), width)) {
+        return {};
+      }
+      continue;
+    }
+    for (size_t pos = 0; pos < node.operands.size(); ++pos) {
+      const NodeRef operand = node.operands[pos];
+      const bool ok = IsLanePosition(node.op, pos)
+                          ? lane[operand] || IsUniformConstant(ctx, operand)
+                          : !lane[operand];
+      if (!ok) return {};
+    }
+  }
+  const auto in_lane = [&](NodeRef ref) {
+    return ref != ir::kNullNode && lane[ref] != 0;
+  };
+  const NodeRef handshake[] = {acc.in_valid, acc.in_ready, acc.host_ready,
+                               acc.out_valid, acc.progress_qualifier};
+  // Checking the shared context also keeps data words out of it.
+  if (std::ranges::any_of(handshake, in_lane) ||
+      std::ranges::any_of(acc.shared_context, in_lane) ||
+      std::ranges::any_of(ts.constraints(), in_lane) ||
+      std::ranges::any_of(ts.bads(), in_lane)) {
+    return {};
+  }
+  for (const std::vector<NodeRef>& elem : acc.out_elems) {
+    for (NodeRef word : elem) {
+      if (!lane[word]) return {};
+    }
+  }
+  return inputs;
+}
+
+}  // namespace
 
 FcInstrumentation InstrumentFc(ir::TransitionSystem& ts,
                                const AcceleratorInterface& acc,
@@ -16,6 +131,8 @@ FcInstrumentation InstrumentFc(ir::TransitionSystem& ts,
   AQED_CHECK(valid.ok(), "InstrumentFc: " + valid.message());
   Context& ctx = ts.ctx();
   FcInstrumentation fc;
+  // Decided on the design alone: the monitor below compares whole words.
+  std::vector<NodeRef> tied_inputs = LaneTiedInputs(ts, acc);
 
   const uint32_t batch = acc.batch_size();
   const uint32_t idx_width = IndexWidth(batch);
@@ -165,12 +282,14 @@ FcInstrumentation InstrumentFc(ir::TransitionSystem& ts,
   }
 
   // Equal inputs must give equal outputs: the data path need only be a
-  // function, so the unroller may abstract it (bmc::Unroller).
+  // function, so the unroller may abstract it, and where it only moves bits
+  // one bit lane stands for all (bmc::Unroller).
   ir::TransitionSystem::DataPathHint hint;
   for (const std::vector<NodeRef>& elem : acc.out_elems) {
     hint.data_roots.insert(hint.data_roots.end(), elem.begin(), elem.end());
   }
   hint.control_roots = {acc.in_ready, acc.out_valid, acc.progress_qualifier};
+  hint.tied_inputs = std::move(tied_inputs);
   ts.SetDataPathHint(std::move(hint));
   return fc;
 }

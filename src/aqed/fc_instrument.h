@@ -17,7 +17,12 @@
 // corresponding input batch.
 //
 // It also records the interface roots on the system as its DataPathHint,
-// from which bmc::Unroller abstracts the data path (DESIGN.md §6).
+// from which bmc::Unroller abstracts the data path (DESIGN.md §6). Before
+// adding the monitor it checks whether the design only moves its data bits
+// — lane-wise muxes, bitwise gates, memories and registers with
+// lane-uniform constants beside them, nothing that reads data into control
+// — and if so lists the data inputs as tied_inputs, whose bit lanes the
+// unroller then ties into one (DESIGN.md §6 item 9).
 #pragma once
 
 #include <string>

@@ -53,6 +53,12 @@ Unroller::Unroller(const ir::TransitionSystem& ts,
                    bitblast::BitBlaster& blaster, bool free_initial_state)
     : ts_(ts), blaster_(blaster), free_initial_state_(free_initial_state) {
   SelectAbstractNodes();
+  // A free initial state may hold lanes that differ, which the tie cannot
+  // express (DESIGN.md §6 item 9).
+  if (!free_initial_state_) {
+    tied_.assign(ts_.ctx().num_nodes(), 0);
+    for (NodeRef input : ts_.data_path_hint().tied_inputs) tied_[input] = 1;
+  }
   if (!abstracted_nodes_.empty()) {
     blaster_.gates().solver().SetModelCheck(
         [this](std::span<const sat::LBool> model) { return Refine(model); });
@@ -116,7 +122,9 @@ void Unroller::AddFrame() {
             ctx.node(node.operands[0]).const_val);
         continue;
       case Op::kInput:
-        scalars[ref] = blaster_.Fresh(node.sort.width);
+        scalars[ref] = ref < tied_.size() && tied_[ref]
+                           ? Bits(node.sort.width, blaster_.gates().Fresh())
+                           : blaster_.Fresh(node.sort.width);
         continue;
       case Op::kState: {
         if (frame == 0) {

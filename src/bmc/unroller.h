@@ -21,6 +21,14 @@
 // installs Refine as its solver's model check (sat::Solver::SetModelCheck),
 // so Solve only returns models in which every abstract instance computes
 // its operation; a node caught computing something else is concretized.
+//
+// Lane tying. A data input in the hint's tied_inputs (core::InstrumentFc
+// lists those the design only moves bit by bit) gets one fresh literal per
+// frame, repeated across its width, so structural hashing folds its bit
+// lanes into one. This is exact for FC: every FC violation has a
+// lane-uniform twin at the same depth (DESIGN.md §6 item 9). The step
+// unrolling of k-induction (`free_initial_state`) does not tie, since a
+// free state may hold lanes that differ.
 #pragma once
 
 #include <cstdint>
@@ -114,6 +122,7 @@ class Unroller {
   std::vector<std::vector<bitblast::ArrayBits>> array_frames_;  // [frame][node]
   std::vector<ir::NodeRef> abstracted_nodes_;
   std::vector<uint8_t> abstract_;  // [node]: still abstract
+  std::vector<uint8_t> tied_;      // [node]: one literal for every lane
   uint64_t refinements_ = 0;
 };
 

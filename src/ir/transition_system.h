@@ -51,12 +51,15 @@ class TransitionSystem {
   // Interface roots of a functional-consistency check, recorded by
   // core::InstrumentFc. FC asks only whether equal inputs give equal
   // outputs, so arithmetic that feeds the data roots but none of the
-  // control roots may be abstracted (bmc::Unroller). A hint, not semantics:
-  // digests, cache keys and the BTOR2 printer ignore it.
+  // control roots may be abstracted, and the bit lanes of data inputs that
+  // the design only moves may be tied (bmc::Unroller). A hint, not
+  // semantics: digests, cache keys and the BTOR2 printer ignore it.
   struct DataPathHint {
     std::vector<NodeRef> data_roots;     // output words
     // Handshake and progress signals; kNullNode entries are ignored.
     std::vector<NodeRef> control_roots;
+    // Data inputs whose lanes may share one literal per frame.
+    std::vector<NodeRef> tied_inputs;
   };
   void SetDataPathHint(DataPathHint hint) { data_path_hint_ = std::move(hint); }
   const DataPathHint& data_path_hint() const { return data_path_hint_; }

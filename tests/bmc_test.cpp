@@ -4,6 +4,7 @@
 // abstraction of FC systems.
 #include <gtest/gtest.h>
 
+#include "accel/aes.h"
 #include "accel/dataflow.h"
 #include "accel/memctrl.h"
 #include "aqed/fc_instrument.h"
@@ -228,28 +229,81 @@ TEST(TraceTest, FormatContainsInputsAndOutputs) {
   EXPECT_NE(text.find("reg3"), std::string::npos);
 }
 
-// Pins the solver's work on a refutation long enough that ReduceDB runs
-// eight times across its depths (depth 8 alone takes about 15k conflicts).
-// Any change to the search moves these counts; arena compaction must not.
-TEST(BmcTest, CleanFifoFcWorkIsPinned) {
-  ir::TransitionSystem ts;
-  const auto design = accel::BuildMemCtrl(ts, accel::MemCtrlConfig::kFifo);
-  const core::FcInstrumentation fc = core::InstrumentFc(ts, design.acc);
+// The solver's work on clean FC at `bound`, searching for the early-output
+// bad as well when `early_output` is set, with the DataPathHint's tied
+// inputs cleared when `untie` is set.
+struct FcWork {
+  BmcResult result;
+  uint64_t propagations = 0;
+};
+FcWork CleanFcWork(ir::TransitionSystem& ts,
+                   const core::AcceleratorInterface& acc, uint32_t bound,
+                   bool early_output, bool untie = false) {
+  const core::FcInstrumentation fc = core::InstrumentFc(ts, acc);
+  if (untie) {
+    ir::TransitionSystem::DataPathHint hint = ts.data_path_hint();
+    hint.tied_inputs.clear();
+    ts.SetDataPathHint(std::move(hint));
+  }
   BmcOptions options;
-  options.max_bound = 8;
+  options.max_bound = bound;
   options.bad_filter = {fc.fc_bad_index};
+  if (early_output) options.bad_filter.push_back(fc.early_output_bad_index);
   const telemetry::Counter& propagations =
       telemetry::MetricsRegistry::Global().counter("sat.propagations");
   const uint64_t propagations_before = propagations.value();
   telemetry::SetEnabled(true);
-  const BmcResult result = RunBmc(ts, options);
+  FcWork work{RunBmc(ts, options), 0};
   telemetry::SetEnabled(false);
-  EXPECT_EQ(result.outcome, BmcResult::Outcome::kBoundReached);
-  EXPECT_EQ(result.conflicts, 19494u);
-  EXPECT_EQ(result.decisions, 104788u);
+  work.propagations = propagations.value() - propagations_before;
+  return work;
+}
+
+// Pins the solver's work on the clean FIFO FC refutation, whose data lanes
+// FC ties (DESIGN.md §6 item 9). Any change to the search or to the tie
+// moves these counts; arena compaction must not.
+TEST(BmcTest, CleanFifoFcWorkIsPinned) {
+  ir::TransitionSystem ts;
+  const auto design = accel::BuildMemCtrl(ts, accel::MemCtrlConfig::kFifo);
+  const FcWork work = CleanFcWork(ts, design.acc, 8, false);
+  ASSERT_EQ(ts.data_path_hint().tied_inputs.size(), 1u);
+  EXPECT_EQ(work.result.outcome, BmcResult::Outcome::kBoundReached);
+  EXPECT_EQ(work.result.conflicts, 1555u);
+  EXPECT_EQ(work.result.decisions, 1992u);
 #if AQED_TELEMETRY_ENABLED
-  EXPECT_EQ(propagations.value() - propagations_before, 5189248u);
+  EXPECT_EQ(work.propagations, 328902u);
 #endif
+}
+
+// Queries the tie leaves alone, pinned at the values recorded before it
+// existed. With its lanes free the FIFO refutation is long enough that
+// ReduceDB runs eight times across its depths (depth 8 alone takes about
+// 15k conflicts); clean AES FC at signoff's bound fails the tie's check
+// (its S-box turns data into mux selects) and runs ReduceDB three times.
+TEST(BmcTest, UntiedFcWorkIsPinned) {
+  {
+    ir::TransitionSystem ts;
+    const auto design = accel::BuildMemCtrl(ts, accel::MemCtrlConfig::kFifo);
+    const FcWork work = CleanFcWork(ts, design.acc, 8, false, /*untie=*/true);
+    EXPECT_EQ(work.result.outcome, BmcResult::Outcome::kBoundReached);
+    EXPECT_EQ(work.result.conflicts, 19494u);
+    EXPECT_EQ(work.result.decisions, 104788u);
+#if AQED_TELEMETRY_ENABLED
+    EXPECT_EQ(work.propagations, 5189248u);
+#endif
+  }
+  {
+    ir::TransitionSystem ts;
+    const auto design = accel::BuildAes(ts, {.rounds = 1});
+    const FcWork work = CleanFcWork(ts, design.acc, 7, true);
+    EXPECT_TRUE(ts.data_path_hint().tied_inputs.empty());
+    EXPECT_EQ(work.result.outcome, BmcResult::Outcome::kBoundReached);
+    EXPECT_EQ(work.result.conflicts, 16617u);
+    EXPECT_EQ(work.result.decisions, 29861u);
+#if AQED_TELEMETRY_ENABLED
+    EXPECT_EQ(work.propagations, 3024691u);
+#endif
+  }
 }
 
 // The satisfiable side of the same pin: a catalog bug that BMC finds in
@@ -267,8 +321,8 @@ TEST(BmcTest, FifoPtrNoWrapBugWorkIsPinned) {
   ASSERT_EQ(result.outcome, BmcResult::Outcome::kCounterexample);
   EXPECT_TRUE(result.trace_validated);
   EXPECT_EQ(result.trace.length(), 8u);
-  EXPECT_EQ(result.conflicts, 6485u);
-  EXPECT_EQ(result.decisions, 33786u);
+  EXPECT_EQ(result.conflicts, 823u);
+  EXPECT_EQ(result.decisions, 1144u);
 }
 
 // The data path an Unroller abstracts for `ts`.
@@ -334,7 +388,8 @@ TEST(DataPathAbstractionTest, SpuriousModelsAreRefinedInsideTheSolve) {
   ts.SetNext(acc, sum);
   ts.AddConstraint(ctx.Eq(in, ctx.Const(8, 3)));
   ts.AddBad(ctx.Eq(acc, ctx.Const(8, 12)), "acc_is_12");
-  ts.SetDataPathHint({.data_roots = {acc}, .control_roots = {}});
+  ts.SetDataPathHint(
+      {.data_roots = {acc}, .control_roots = {}, .tied_inputs = {}});
   ASSERT_EQ(AbstractedNodes(ts), std::vector<NodeRef>{sum});
 
   BmcOptions options;

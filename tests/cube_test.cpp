@@ -256,8 +256,9 @@ TEST(BmcCubeTest, CubeVerdictMatchesMonolithicOnABuggyDesign) {
 
 TEST(BmcCubeTest, CubeVerdictMatchesMonolithicOnACleanDesign) {
   // Bound 8 as in memctrl_test's clean-design check: a genuine full
-  // refutation with no budget. Deeper clean FC refutations on this design
-  // grow out of test-suite range regardless of cubes.
+  // refutation with no budget. FC ties the FIFO's data lanes (DESIGN.md §6
+  // item 9), so this bound costs about 1.5k conflicts and bound 14 about
+  // 124k; the eager cubes still escalate.
   auto fc = MemCtrlFcOptions();
   fc.bmc.max_bound = 8;
   const auto build = MemCtrlBuilder();

@@ -10,6 +10,7 @@
 #include "aqed/report.h"
 #include "bmc/unroller.h"
 #include "harness/conventional_flow.h"
+#include "service/registry.h"
 #include "sim/simulator.h"
 
 namespace aqed {
@@ -202,6 +203,24 @@ TEST(MemCtrlAbstractionTest, FifoAbstractsNothing) {
   bitblast::BitBlaster blaster(gates);
   const bmc::Unroller unroller(ts, blaster);
   EXPECT_TRUE(unroller.abstracted_nodes().empty());
+}
+
+// The deadlocking FIFO stalls with words inside, so FC must refute every
+// depth to the study's bound 14 within its 400,000-conflict budget per
+// depth; only tied data lanes (DESIGN.md §6 item 9) keep that in budget.
+TEST(MemCtrlLaneTieTest, StallDeadlockFcJobEndsDecided) {
+  const auto result = core::CheckAccelerator(
+      [](ir::TransitionSystem& t) {
+        return BuildMemCtrl(t, MemCtrlConfig::kFifo,
+                            MemCtrlBug::kFifoStallDeadlock)
+            .acc;
+      },
+      core::RestrictTo(service::MemCtrlStudyOptions(MemCtrlConfig::kFifo),
+                       core::PropertyGroup::kFc));
+  EXPECT_FALSE(result.bug_found());
+  EXPECT_EQ(result.aqed().bmc.outcome,
+            bmc::BmcResult::Outcome::kBoundReached);
+  EXPECT_EQ(result.aqed().bmc.frames_explored, 14u);
 }
 
 // --- conventional flow over the catalog --------------------------------------
