@@ -1,16 +1,19 @@
 // Ablation C: SAT-solver feature contributions on A-QED BMC workloads. Each
 // feature of the CDCL solver (VSIDS, phase saving, clause minimization,
 // restarts, clause-database reduction) is toggled on two fixed loads: the
-// clean FIFO configuration checked to bound 7 (an UNSAT-refutation-dominated
-// load) and the lb_stale_accum bug hunt (a SAT-finding load). Each variant
-// runs once per load and reports process CPU time and solver conflicts; the
-// conflict counts are deterministic, the times are single-shot.
+// clean FIFO's FC refutation to bound 8 with its data lanes untied (an
+// UNSAT-refutation load, the query BmcTest.UntiedFcWorkIsPinned pins) and
+// the lb_stale_accum bug hunt (a SAT-finding load). Each variant runs once
+// per load and reports process CPU time and solver conflicts; the conflict
+// counts are deterministic, the times are single-shot.
 //
 // Exits 1 if any variant reports a spurious counterexample on the clean
 // load or misses the bug on the hunt.
 #include <cstdio>
 
+#include "aqed/fc_instrument.h"
 #include "bench_common.h"
+#include "bmc/engine.h"
 #include "telemetry/resource.h"
 
 using namespace aqed;
@@ -33,34 +36,60 @@ constexpr Variant kVariants[] = {
     {"no_reduce_db", [](sat::Solver::Options& o) { o.use_reduce_db = false; }},
 };
 
-core::AqedOptions VariantOptions(const Variant& variant,
-                                 accel::MemCtrlConfig config,
-                                 uint32_t fc_bound) {
+// A load's verdict and its solver work.
+struct LoadResult {
+  bool bug_found;
+  uint64_t conflicts;
+};
+
+// The clean FIFO's FC refutation to bound 8 with the DataPathHint's tied
+// inputs cleared. Tied lanes make it too easy to tell the variants apart
+// (725-966 conflicts at bound 7); free lanes take about 19.5k.
+LoadResult UntiedFifoRefutation(const sat::Solver::Options& solver_options) {
+  ir::TransitionSystem ts;
+  const auto design = accel::BuildMemCtrl(ts, accel::MemCtrlConfig::kFifo);
+  const core::FcInstrumentation fc = core::InstrumentFc(ts, design.acc);
+  ir::TransitionSystem::DataPathHint hint = ts.data_path_hint();
+  hint.tied_inputs.clear();
+  ts.SetDataPathHint(std::move(hint));
+  bmc::BmcOptions options;
+  options.max_bound = 8;
+  options.bad_filter = {fc.fc_bad_index};
+  options.solver_options = solver_options;
+  const bmc::BmcResult result = bmc::RunBmc(ts, options);
+  return {result.found_bug(), result.conflicts};
+}
+
+// The lb_stale_accum bug hunt: FC and RB on the buggy line buffer.
+LoadResult StaleAccumHunt(const sat::Solver::Options& solver_options) {
+  constexpr accel::MemCtrlConfig kConfig = accel::MemCtrlConfig::kLineBuffer;
   core::AqedOptions options;
   core::RbOptions rb;
-  rb.tau = accel::MemCtrlResponseBound(config);
+  rb.tau = accel::MemCtrlResponseBound(kConfig);
   options.rb = rb;
-  options.fc_bound = fc_bound;
-  options.rb_bound = fc_bound;
-  variant.apply(options.bmc.solver_options);
-  return options;
+  options.fc_bound = 12;
+  options.rb_bound = 12;
+  options.bmc.solver_options = solver_options;
+  const auto result = core::CheckAccelerator(
+      [](ir::TransitionSystem& ts) {
+        return accel::BuildMemCtrl(ts, kConfig,
+                                   accel::MemCtrlBug::kLbStaleAccum)
+            .acc;
+      },
+      options);
+  return {result.bug_found(), result.conflicts()};
 }
 
 struct Load {
   const char* name;
-  accel::MemCtrlConfig config;
-  accel::MemCtrlBug bug;
-  uint32_t fc_bound;
+  uint32_t bound;
+  LoadResult (*run)(const sat::Solver::Options&);
   bool expect_bug;
 };
 
 constexpr Load kLoads[] = {
-    // UNSAT-dominated load: the clean FIFO refuted up to bound 7.
-    {"clean_fifo_refutation", accel::MemCtrlConfig::kFifo,
-     accel::MemCtrlBug::kNone, 7, false},
-    // SAT-finding load: hunting the lb_stale_accum bug.
-    {"stale_accum_hunt", accel::MemCtrlConfig::kLineBuffer,
-     accel::MemCtrlBug::kLbStaleAccum, 12, true},
+    {"untied_fifo_refutation", 8, UntiedFifoRefutation, false},
+    {"stale_accum_hunt", 12, StaleAccumHunt, true},
 };
 
 }  // namespace
@@ -72,26 +101,24 @@ int main(int argc, char** argv) {
   bench::PrintRule('=');
   bool failed = false;
   for (const Load& load : kLoads) {
-    printf("\n%s (bound %u):\n", load.name, load.fc_bound);
+    printf("\n%s (bound %u):\n", load.name, load.bound);
     printf("  %-18s %-10s %-12s %s\n", "variant", "cpu[ms]", "conflicts",
            "verdict");
     for (const Variant& variant : kVariants) {
+      sat::Solver::Options solver_options;
+      variant.apply(solver_options);
       const double cpu_before = telemetry::SampleResourceUsage().cpu_seconds();
-      const auto result = core::CheckAccelerator(
-          [&](ir::TransitionSystem& ts) {
-            return accel::BuildMemCtrl(ts, load.config, load.bug).acc;
-          },
-          VariantOptions(variant, load.config, load.fc_bound));
+      const LoadResult result = load.run(solver_options);
       const double cpu_ms =
           (telemetry::SampleResourceUsage().cpu_seconds() - cpu_before) * 1e3;
-      const bool wrong = result.bug_found() != load.expect_bug;
+      const bool wrong = result.bug_found != load.expect_bug;
       failed |= wrong;
       const char* note = !wrong           ? ""
                          : load.expect_bug ? "  <- MISSED BUG"
                                            : "  <- SPURIOUS COUNTEREXAMPLE";
       printf("  %-18s %-10.0f %-12llu %s%s\n", variant.name, cpu_ms,
-             static_cast<unsigned long long>(result.conflicts()),
-             result.bug_found() ? "bug" : "clean", note);
+             static_cast<unsigned long long>(result.conflicts),
+             result.bug_found ? "bug" : "clean", note);
     }
   }
   bench::PrintRule();

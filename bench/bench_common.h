@@ -102,9 +102,8 @@ class FlagParser {
   // registered flag set and exits 0; otherwise any leftover `--something`
   // no Switch()/Value() call matched (a typo, or a flag from some other
   // bench) exits with status 2 instead of silence. Non-flag positional
-  // arguments are left alone (none of the benches take any, but a VALUE
-  // that happens to follow an unknown flag should be reported via its
-  // flag, not separately).
+  // arguments are left alone for Positionals() (a VALUE that happens to
+  // follow an unknown flag is reported via its flag, not separately).
   void RejectUnknown(const char* program) const {
     for (const std::string& arg : args_) {
       if (arg == "--help" || arg == "-h") {
@@ -128,6 +127,16 @@ class FlagParser {
       std::fprintf(stderr, "%s: try '%s --help'\n", program, program);
       std::exit(2);
     }
+  }
+
+  // The arguments no probe matched, in order. Call it after
+  // RejectUnknown(), once every flag has claimed its VALUE.
+  std::vector<std::string> Positionals() const {
+    std::vector<std::string> positionals;
+    for (size_t i = 0; i < args_.size(); ++i) {
+      if (!used_[i]) positionals.push_back(args_[i]);
+    }
+    return positionals;
   }
 
  private:

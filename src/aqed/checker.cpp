@@ -114,6 +114,11 @@ Status AqedOptions::Validate() const {
   if (rb.has_value() && rb->in_min == 0) {
     return Status::Error("rb.in_min must be at least 1");
   }
+  if (bmc.prove) {
+    // Jobs, journals, caches and the wire have no word for a proof yet.
+    return Status::Error(
+        "bmc.prove is not supported in A-QED checks yet (ROADMAP item 4(b))");
+  }
   return Status::Ok();
 }
 

@@ -206,6 +206,69 @@ DepthQuery SolveWithEscalation(sat::Solver& main_solver,
   return cube_query;
 }
 
+// Literal that holds iff some targeted bad predicate fires in `frame`.
+sat::Lit AnyBad(bitblast::GateBuilder& gates, const Unroller& unroller,
+                const std::vector<uint32_t>& targets, uint32_t frame) {
+  std::vector<sat::Lit> bad_lits;
+  bad_lits.reserve(targets.size());
+  for (uint32_t bad_index : targets) {
+    bad_lits.push_back(unroller.BadLit(frame, bad_index));
+  }
+  return gates.OrAll(bad_lits);
+}
+
+// The inductive step of k-induction, on its own solver over an unrolling
+// from a free initial state. Check() decides step(k) for k = 1, 2, ... in
+// turn, keeping ~bad@0 .. ~bad@k-1 and the simple-path constraints as
+// permanent facts.
+class InductiveStep {
+ public:
+  InductiveStep(const ir::TransitionSystem& ts,
+                const std::vector<uint32_t>& targets,
+                const sat::Solver::Options& solver_options)
+      : targets_(targets),
+        solver_(solver_options),
+        gates_(solver_),
+        blaster_(gates_),
+        unroller_(ts, blaster_, /*free_initial_state=*/true) {
+    unroller_.AddFrame();  // frame 0, so step(1) can assume ~bad@0
+  }
+
+  // step(k) for the next k: kUnsat proves the property, kSat leaves it
+  // open at this k, kUnknown means the budget or a cancel stopped it.
+  sat::SolveResult Check(int64_t conflict_budget) {
+    const uint32_t k = unroller_.num_frames();
+    TELEMETRY_SPAN("bmc.induction_step", {{"k", k}});
+    // A fact that is constant false leaves no path for the step to extend
+    // (a system without state has no two distinct frames, say), so step(k)
+    // holds trivially; GateBuilder::Assert would abort on it.
+    bool no_path = false;
+    const auto assert_fact = [&](sat::Lit fact) {
+      if (gates_.IsFalse(fact)) no_path = true;
+      if (!no_path) gates_.Assert(fact);
+    };
+    assert_fact(~AnyBad(gates_, unroller_, targets_, k - 1));
+    unroller_.AddFrame();
+    for (uint32_t j = 0; j < k; ++j) {
+      assert_fact(~unroller_.FramesEqual(j, k));
+    }
+    const sat::Lit bad = AnyBad(gates_, unroller_, targets_, k);
+    if (no_path || gates_.IsFalse(bad) || solver_.inconsistent()) {
+      return sat::SolveResult::kUnsat;
+    }
+    const sat::Lit assumptions[] = {bad};
+    return solver_.Solve(assumptions,
+                         sat::SolveLimits{.max_conflicts = conflict_budget});
+  }
+
+ private:
+  const std::vector<uint32_t>& targets_;
+  sat::Solver solver_;
+  bitblast::GateBuilder gates_;
+  bitblast::BitBlaster blaster_;
+  Unroller unroller_;
+};
+
 }  // namespace
 
 BmcResult RunBmc(const ir::TransitionSystem& ts, const BmcOptions& options_in) {
@@ -239,6 +302,22 @@ BmcResult RunBmc(const ir::TransitionSystem& ts, const BmcOptions& options_in) {
 
   BmcResult result;
   bool cancelled = false;
+  std::unique_ptr<InductiveStep> step;
+  if (options.prove) {
+    step = std::make_unique<InductiveStep>(ts, targets, options.solver_options);
+  }
+  // Runs after each refuted depth d, whose refutation is the base case of
+  // step(d + 1). An undecided step is not "not inductive at k": proving
+  // stops for good rather than spend further budgets on deeper steps (a
+  // cancel that stopped it ends the run at the next depth).
+  const auto step_proves = [&] {
+    if (step == nullptr) return false;
+    const sat::SolveResult step_result = step->Check(options.conflict_budget);
+    if (step_result == sat::SolveResult::kUnknown) step.reset();
+    if (step_result != sat::SolveResult::kUnsat) return false;
+    result.outcome = BmcResult::Outcome::kProved;
+    return true;
+  };
   for (uint32_t depth = 0; depth < options.max_bound; ++depth) {
     if (options.cancel.cancelled()) {
       cancelled = true;
@@ -255,15 +334,12 @@ BmcResult RunBmc(const ir::TransitionSystem& ts, const BmcOptions& options_in) {
     // wrote last — a representative progress signal, not an invariant.
     telemetry::SetGauge("bmc.current_depth", depth + 1);
 
-    // any_bad holds iff some targeted bad predicate fires at this depth.
-    std::vector<sat::Lit> bad_lits;
-    bad_lits.reserve(targets.size());
-    for (uint32_t bad_index : targets) {
-      bad_lits.push_back(unroller.BadLit(depth, bad_index));
+    const sat::Lit any_bad = AnyBad(gates, unroller, targets, depth);
+    if (gates.IsFalse(any_bad)) {  // statically unreachable here
+      if (step_proves()) break;
+      continue;
     }
-    const sat::Lit any_bad = gates.OrAll(bad_lits);
-    if (gates.IsFalse(any_bad)) continue;  // statically unreachable here
-    if (solver.inconsistent()) break;       // constraints are contradictory
+    if (solver.inconsistent()) break;  // constraints are contradictory
 
     telemetry::Span solve_span("bmc.solve_depth", {{"depth", depth}});
     DepthQuery query;
@@ -286,11 +362,16 @@ BmcResult RunBmc(const ir::TransitionSystem& ts, const BmcOptions& options_in) {
       // Refutation budget exhausted at this depth. Counterexample queries
       // are usually far easier than refutations, so keep deepening — the
       // run is no longer a complete proof up to the bound, which the final
-      // outcome reflects if nothing is found.
+      // outcome reflects if nothing is found. Nor can induction prove
+      // anything without this base case.
       result.refutation_complete = false;
+      step.reset();
       continue;
     }
-    if (query.result == sat::SolveResult::kUnsat) continue;
+    if (query.result == sat::SolveResult::kUnsat) {
+      if (step_proves()) break;
+      continue;
+    }
 
     // Counterexample found: identify the violated bad predicate.
     uint32_t hit = targets[0];

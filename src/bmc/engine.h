@@ -1,10 +1,22 @@
-// Bounded model checking engine.
+// Bounded model checking engine, with an optional k-induction proof.
 //
 // Iteratively deepens the unrolling and, at each depth, asks the SAT solver
 // (under an activation assumption) whether any registered bad predicate is
 // reachable exactly at that depth. Iterating depths from 0 guarantees that a
 // reported counterexample is one of minimum length — the property behind the
 // paper's Observation 3 (short counterexamples for easy debug).
+//
+// BMC only refutes up to a bound. With BmcOptions::prove, each refuted
+// depth d is also the base case of k-induction at k = d + 1, and a second
+// solver checks the inductive step over a free initial state:
+//
+//   step(k):  ~bad@0 .. ~bad@k-1 && bad@k is UNSAT, with the k+1 states
+//             pairwise distinct (simple-path constraints).
+//
+// Base cases at every depth below k plus step(k) prove the bad states
+// unreachable at every depth. The simple-path constraints make the method
+// complete for finite-state systems: without them an unreachable lasso that
+// never touches a bad state can block convergence forever.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +78,13 @@ struct BmcOptions {
   CubeEscalation cube;
 
   sat::Solver::Options solver_options;
+
+  // Try to prove the bad states unreachable at every depth by k-induction
+  // (see the top of this file). Each inductive step solve gets the same
+  // conflict_budget and cancel token as a depth. Proving stops for good
+  // after an undecided step or a skipped depth (a proof needs every base
+  // case); the run then goes on as a bounded one.
+  bool prove = false;
 };
 
 struct BmcResult {
@@ -73,6 +92,8 @@ struct BmcResult {
     kCounterexample,  // a bad state is reachable; `trace` holds the witness
     kBoundReached,    // no bad state reachable within max_bound frames
     kUnknown,         // solver budget exhausted
+    kProved,          // unreachable at every depth (BmcOptions::prove);
+                      // frames_explored holds the induction depth k
   };
   Outcome outcome = Outcome::kBoundReached;
   Trace trace;                 // valid when kCounterexample
@@ -88,6 +109,7 @@ struct BmcResult {
   UnknownReason unknown_reason = UnknownReason::kNone;
   uint32_t frames_explored = 0;
   double seconds = 0;
+  // The base solver's work; inductive step solves are not counted.
   uint64_t conflicts = 0;
   uint64_t decisions = 0;
   uint64_t clauses = 0;

@@ -383,6 +383,16 @@ TEST(AqedOptionsBuilderTest, RejectsDegenerateRb) {
   EXPECT_FALSE(AqedOptions::Builder().WithRb(rb).Validate().ok());
 }
 
+// RunBmc can prove by k-induction, but a job has no word for a proof yet.
+TEST(AqedOptionsBuilderTest, RejectsProofRequests) {
+  AqedOptions options;
+  options.bmc.prove = true;
+  const Status valid = options.Validate();
+  EXPECT_FALSE(valid.ok());
+  EXPECT_NE(valid.message().find("4(b)"), std::string::npos)
+      << valid.message();
+}
+
 TEST(AqedOptionsBuilderTest, SeedsFromLegacyStructAndRevalidates) {
   // Struct-poked legacy configuration, fluently adjusted.
   AqedOptions legacy;

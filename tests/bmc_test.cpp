@@ -325,6 +325,46 @@ TEST(BmcTest, FifoPtrNoWrapBugWorkIsPinned) {
   EXPECT_EQ(result.decisions, 1144u);
 }
 
+// FC on the FIFO at `bound`, from a freshly built system.
+BmcResult FifoFcRun(accel::MemCtrlBug bug, uint32_t bound, bool prove) {
+  ir::TransitionSystem ts;
+  const auto design =
+      accel::BuildMemCtrl(ts, accel::MemCtrlConfig::kFifo, bug);
+  const core::FcInstrumentation fc = core::InstrumentFc(ts, design.acc);
+  BmcOptions options;
+  options.max_bound = bound;
+  options.bad_filter = {fc.fc_bad_index};
+  options.prove = prove;
+  return RunBmc(ts, options);
+}
+
+// A proof request shares the bounded run's base case instead of running a
+// second one. FC on the FIFO is not inductive within these bounds, so both
+// runs below are the bounded job, with the pinned work of the two tests
+// above.
+TEST(BmcTest, ProofRequestRunsTheBaseCaseOnce) {
+  const BmcResult bounded = FifoFcRun(accel::MemCtrlBug::kNone, 8, false);
+  const BmcResult proving = FifoFcRun(accel::MemCtrlBug::kNone, 8, true);
+  EXPECT_EQ(proving.outcome, BmcResult::Outcome::kBoundReached);
+  EXPECT_EQ(proving.outcome, bounded.outcome);
+  EXPECT_EQ(proving.frames_explored, bounded.frames_explored);
+  EXPECT_EQ(proving.conflicts, 1555u);
+  EXPECT_EQ(proving.conflicts, bounded.conflicts);
+  EXPECT_EQ(proving.decisions, bounded.decisions);
+
+  const BmcResult bug =
+      FifoFcRun(accel::MemCtrlBug::kFifoPtrNoWrap, 14, false);
+  const BmcResult bug_proving =
+      FifoFcRun(accel::MemCtrlBug::kFifoPtrNoWrap, 14, true);
+  ASSERT_EQ(bug_proving.outcome, BmcResult::Outcome::kCounterexample);
+  EXPECT_TRUE(bug_proving.trace_validated);
+  EXPECT_EQ(bug_proving.trace.length(), 8u);
+  EXPECT_EQ(bug_proving.trace.inputs, bug.trace.inputs);
+  EXPECT_EQ(bug_proving.trace.initial_states, bug.trace.initial_states);
+  EXPECT_EQ(bug_proving.conflicts, 823u);
+  EXPECT_EQ(bug_proving.conflicts, bug.conflicts);
+}
+
 // The data path an Unroller abstracts for `ts`.
 std::vector<NodeRef> AbstractedNodes(const ir::TransitionSystem& ts) {
   sat::Solver solver;

@@ -1,7 +1,8 @@
 // Seeded mutation fuzzing of every decoder that reads bytes from outside the
 // process: CRC-guarded journal records and solve-cache lines (one line at a
 // time and as whole files), bare JSON, the service protocol's request and
-// response payloads, DIMACS CNF and BTOR2 models.
+// response payloads, the service's length-prefixed frames as read from a
+// socket, DIMACS CNF and BTOR2 models.
 //
 // Each case starts from valid encoder output and applies a few random byte
 // flips, truncations, splices and token insertions. Record payloads are
@@ -17,6 +18,7 @@
 // deterministic, few-second unit test.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -356,6 +358,49 @@ TEST(CodecFuzzTest, JsonAndProtocolPayloadsNeverCrashTheDecoders) {
     ExpectDecodedOrStatus(service::DecodeMetricsResponse(payload));
     (void)service::IsOkResponse(payload);
   }
+}
+
+// Streams of one to three frames in the wire form WriteFrame emits (a
+// decimal length line, the payload, a newline), mutated and fed through a
+// socketpair whose write end is then closed. ReadFrame is called until it
+// fails, as the server does: the closed end guarantees that it does. Each
+// frame it accepts is a run of the stream's bytes within the payload limit,
+// and each consumes at least three bytes ("0\n\n").
+TEST(CodecFuzzTest, FramedStreamsNeverCrashReadFrame) {
+  const std::vector<std::string> payloads = ProtocolCorpus();
+  std::vector<std::string> corpus;
+  for (const std::string& payload : payloads) {
+    corpus.push_back(std::to_string(payload.size()) + "\n" + payload + "\n");
+  }
+  Rng rng(kSeed + 5);
+  size_t accepted = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    std::string stream;
+    for (uint64_t f = 1 + rng.NextBelow(3); f > 0; --f) {
+      stream += corpus[rng.NextBelow(corpus.size())];
+    }
+    stream = Mutate(rng, stream, corpus);
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ASSERT_EQ(::write(fds[1], stream.data(), stream.size()),
+              static_cast<ssize_t>(stream.size()));
+    ::close(fds[1]);
+    size_t frames = 0;
+    for (;;) {
+      const StatusOr<std::string> frame = service::ReadFrame(fds[0]);
+      if (!frame.ok()) {
+        EXPECT_FALSE(frame.status().message().empty());
+        break;
+      }
+      ++frames;
+      EXPECT_LE(frame.value().size(), service::kMaxFramePayload);
+      EXPECT_NE(stream.find(frame.value()), std::string::npos) << stream;
+      ASSERT_LE(3 * frames, stream.size()) << stream;
+    }
+    ::close(fds[0]);
+    accepted += frames;
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(CodecFuzzTest, DimacsNeverCrashesAndAcceptsOnlyDeclaredVariables) {

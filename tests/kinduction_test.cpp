@@ -1,11 +1,12 @@
-// k-induction engine tests: 1-inductive and strictly-2-inductive proofs,
-// counterexample agreement with BMC, and a case that *requires* simple-path
-// constraints to converge.
+// k-induction tests, through RunBmc with BmcOptions::prove: 1-inductive and
+// strictly-2-inductive proofs, counterexamples as plain BMC finds them, a
+// case that *requires* the simple-path constraints to converge, and how
+// budgets and cancellation end a run that asked for a proof.
 #include <gtest/gtest.h>
 
 #include "accel/dataflow.h"
 #include "aqed/rb_instrument.h"
-#include "bmc/kinduction.h"
+#include "bmc/engine.h"
 #include "sched/cancellation.h"
 #include "support/failpoint.h"
 
@@ -14,6 +15,18 @@ namespace {
 
 using ir::NodeRef;
 using ir::Sort;
+
+// A proof request over up to 16 frames.
+BmcOptions ProofOptions() {
+  BmcOptions options;
+  options.max_bound = 16;
+  options.prove = true;
+  return options;
+}
+
+BmcResult Prove(const ir::TransitionSystem& ts) {
+  return RunBmc(ts, ProofOptions());
+}
 
 TEST(KInductionTest, SaturatingCounterBoundProvedAtK1) {
   // counter' = counter < 100 ? counter+1 : counter; prove counter <= 100.
@@ -25,9 +38,9 @@ TEST(KInductionTest, SaturatingCounterBoundProvedAtK1) {
                      ctx.Add(counter, ctx.Const(8, 1)), counter));
   ts.AddBad(ctx.Ugt(counter, ctx.Const(8, 100)), "counter_over_100");
 
-  const auto result = RunKInduction(ts, {});
-  EXPECT_EQ(result.outcome, KInductionResult::Outcome::kProved);
-  EXPECT_EQ(result.k, 1u);
+  const auto result = Prove(ts);
+  EXPECT_EQ(result.outcome, BmcResult::Outcome::kProved);
+  EXPECT_EQ(result.frames_explored, 1u);
 }
 
 TEST(KInductionTest, ReachableBadReportedAsCounterexample) {
@@ -37,8 +50,8 @@ TEST(KInductionTest, ReachableBadReportedAsCounterexample) {
   ts.SetNext(counter, ctx.Add(counter, ctx.Const(8, 1)));
   ts.AddBad(ctx.Eq(counter, ctx.Const(8, 6)), "hits6");
 
-  const auto result = RunKInduction(ts, {});
-  ASSERT_EQ(result.outcome, KInductionResult::Outcome::kCounterexample);
+  const auto result = Prove(ts);
+  ASSERT_EQ(result.outcome, BmcResult::Outcome::kCounterexample);
   EXPECT_EQ(result.trace.length(), 7u);  // same minimal witness as BMC
   EXPECT_TRUE(result.trace_validated);
 }
@@ -59,10 +72,10 @@ TEST(KInductionTest, UndecidedBaseCaseEndsUnknown) {
   const auto ts = MakeToggleSystem();
   sched::CancellationSource source;
   source.Cancel();
-  KInductionOptions options;
-  options.solver_options.cancel = source.token();
-  const auto result = RunKInduction(ts, options);
-  EXPECT_EQ(result.outcome, KInductionResult::Outcome::kUnknown);
+  BmcOptions options = ProofOptions();
+  options.cancel = source.token();
+  const auto result = RunBmc(ts, options);
+  EXPECT_EQ(result.outcome, BmcResult::Outcome::kUnknown);
 }
 
 // A query the solver must search: no 8-bit a, b > 1 multiply to the prime
@@ -93,33 +106,38 @@ ir::TransitionSystem MakeFactoringSystem(bool gated) {
 
 TEST(KInductionTest, UnlimitedBudgetProvesTheFactoringQuery) {
   for (const bool gated : {false, true}) {
-    const auto result = RunKInduction(MakeFactoringSystem(gated), {});
-    EXPECT_EQ(result.outcome, KInductionResult::Outcome::kProved) << gated;
-    EXPECT_EQ(result.k, 1u) << gated;
+    const auto result = Prove(MakeFactoringSystem(gated));
+    EXPECT_EQ(result.outcome, BmcResult::Outcome::kProved) << gated;
+    EXPECT_EQ(result.frames_explored, 1u) << gated;
     EXPECT_EQ(result.unknown_reason, UnknownReason::kNone) << gated;
   }
 }
 
-// Budget 1 stops the base solve (stateless) or the step solve (gated).
+// Budget 1 stops the base solve of every depth (stateless): no depth is
+// refuted, so the run ends kUnknown. Gated, it stops step(1) instead: the
+// run stops proving and goes on as a bounded one, whose depths are all
+// refuted without a solve — bounded, not proved.
 TEST(KInductionTest, ConflictBudgetEndsUnknownWithBudgetReason) {
-  for (const bool gated : {false, true}) {
-    KInductionOptions options;
-    options.conflict_budget = 1;
-    const auto result = RunKInduction(MakeFactoringSystem(gated), options);
-    EXPECT_EQ(result.outcome, KInductionResult::Outcome::kUnknown) << gated;
-    EXPECT_EQ(result.unknown_reason, UnknownReason::kConflictBudget)
-        << gated;
-  }
+  BmcOptions options = ProofOptions();
+  options.conflict_budget = 1;
+  const auto stateless = RunBmc(MakeFactoringSystem(false), options);
+  EXPECT_EQ(stateless.outcome, BmcResult::Outcome::kUnknown);
+  EXPECT_EQ(stateless.unknown_reason, UnknownReason::kConflictBudget);
+
+  const auto gated = RunBmc(MakeFactoringSystem(true), options);
+  EXPECT_EQ(gated.outcome, BmcResult::Outcome::kBoundReached);
+  EXPECT_EQ(gated.frames_explored, options.max_bound);
+  EXPECT_EQ(gated.unknown_reason, UnknownReason::kNone);
 }
 
 TEST(KInductionTest, PreCancelledRunEndsUnknownWithCancelReason) {
   sched::CancellationSource source;
   source.Cancel(sched::CancelReason::kDeadline);
-  KInductionOptions options;
-  options.solver_options.cancel = source.token();
+  BmcOptions options = ProofOptions();
+  options.cancel = source.token();
   for (const bool gated : {false, true}) {
-    const auto result = RunKInduction(MakeFactoringSystem(gated), options);
-    EXPECT_EQ(result.outcome, KInductionResult::Outcome::kUnknown) << gated;
+    const auto result = RunBmc(MakeFactoringSystem(gated), options);
+    EXPECT_EQ(result.outcome, BmcResult::Outcome::kUnknown) << gated;
     EXPECT_EQ(result.unknown_reason, UnknownReason::kDeadline) << gated;
   }
 }
@@ -132,9 +150,9 @@ TEST(KInductionTest, FailedReplayIsReportedNotFatal) {
   support::failpoint::Arm(
       "bmc.replay", {support::FailpointAction::kReturnError, /*skip=*/0,
                      /*limit=*/0});
-  const auto result = RunKInduction(ts, {});
+  const auto result = Prove(ts);
   support::failpoint::DisarmAll();
-  ASSERT_EQ(result.outcome, KInductionResult::Outcome::kCounterexample);
+  ASSERT_EQ(result.outcome, BmcResult::Outcome::kCounterexample);
   EXPECT_FALSE(result.trace_validated);
   EXPECT_EQ(result.trace.length(), 2u);
 }
@@ -154,16 +172,14 @@ TEST(KInductionTest, StrictlyTwoInductiveProperty) {
   ts.SetNext(c, next);
   ts.AddBad(ctx.Eq(c, ctx.Const(2, 3)), "c3");
 
-  KInductionOptions options;
-  options.simple_path = false;  // not needed here
-  const auto result = RunKInduction(ts, options);
-  EXPECT_EQ(result.outcome, KInductionResult::Outcome::kProved);
-  EXPECT_EQ(result.k, 2u);
+  const auto result = Prove(ts);
+  EXPECT_EQ(result.outcome, BmcResult::Outcome::kProved);
+  EXPECT_EQ(result.frames_explored, 2u);
 }
 
 // Unreachable lasso 1 <-> 2 with an input-controlled exit to the bad state
-// 3: plain k-induction never converges (arbitrarily long good paths inside
-// the lasso), simple-path constraints bound them.
+// 3: without simple-path constraints k-induction never converges
+// (arbitrarily long good paths inside the lasso); with them it does.
 ir::TransitionSystem MakeLassoSystem() {
   ir::TransitionSystem ts;
   auto& ctx = ts.ctx();
@@ -180,23 +196,11 @@ ir::TransitionSystem MakeLassoSystem() {
 }
 
 TEST(KInductionTest, SimplePathConstraintsNeededForLasso) {
-  {
-    auto ts = MakeLassoSystem();
-    KInductionOptions options;
-    options.simple_path = false;
-    options.max_k = 8;
-    const auto result = RunKInduction(ts, options);
-    EXPECT_EQ(result.outcome, KInductionResult::Outcome::kUnknown);
-  }
-  {
-    auto ts = MakeLassoSystem();
-    KInductionOptions options;
-    options.simple_path = true;
-    options.max_k = 8;
-    const auto result = RunKInduction(ts, options);
-    EXPECT_EQ(result.outcome, KInductionResult::Outcome::kProved);
-    EXPECT_LE(result.k, 4u);
-  }
+  BmcOptions options = ProofOptions();
+  options.max_bound = 8;
+  const auto result = RunBmc(MakeLassoSystem(), options);
+  EXPECT_EQ(result.outcome, BmcResult::Outcome::kProved);
+  EXPECT_LE(result.frames_explored, 4u);
 }
 
 TEST(KInductionTest, ArrayStateParticipatesInSimplePath) {
@@ -221,8 +225,8 @@ TEST(KInductionTest, ArrayStateParticipatesInSimplePath) {
   ts.SetNext(warmed, ctx.True());
   ts.AddBad(ctx.And(warmed, none), "token_lost");
 
-  const auto result = RunKInduction(ts, {});
-  EXPECT_EQ(result.outcome, KInductionResult::Outcome::kProved);
+  const auto result = Prove(ts);
+  EXPECT_EQ(result.outcome, BmcResult::Outcome::kProved);
 }
 
 // Unbounded proof of a real design invariant: the correct dataflow
@@ -250,11 +254,11 @@ TEST(KInductionTest, ProvesDataflowCreditConservation) {
   }
   ts.AddBad(ctx.Ne(sum, ctx.Const(3, 2)), "credit_leak");
 
-  const auto result = RunKInduction(ts, {});
-  EXPECT_EQ(result.outcome, KInductionResult::Outcome::kProved)
+  const auto result = Prove(ts);
+  EXPECT_EQ(result.outcome, BmcResult::Outcome::kProved)
       << "outcome " << static_cast<int>(result.outcome) << " at k "
-      << result.k;
-  EXPECT_EQ(result.k, 1u);  // conservation is 1-inductive
+      << result.frames_explored;
+  EXPECT_EQ(result.frames_explored, 1u);  // conservation is 1-inductive
 
   // The buggy (credit-leaking) design genuinely violates it.
   ir::TransitionSystem buggy_ts;
@@ -271,9 +275,8 @@ TEST(KInductionTest, ProvesDataflowCreditConservation) {
     bsum = bctx.Add(bsum, bctx.Zext(find_buggy(name), 3));
   }
   buggy_ts.AddBad(bctx.Ne(bsum, bctx.Const(3, 2)), "credit_leak");
-  const auto buggy_result = RunKInduction(buggy_ts, {});
-  EXPECT_EQ(buggy_result.outcome,
-            KInductionResult::Outcome::kCounterexample);
+  const auto buggy_result = Prove(buggy_ts);
+  EXPECT_EQ(buggy_result.outcome, BmcResult::Outcome::kCounterexample);
   EXPECT_TRUE(buggy_result.trace_validated);
 }
 
