@@ -57,6 +57,23 @@ struct AcceleratorInterface {
   Status Validate(const ir::TransitionSystem& ts) const;
 };
 
+// Calls `f` on every signal field of `acc`: the handshake, the progress
+// qualifier, then the data words, out words and shared context (unset
+// fields as kNullNode). Through a mutable `acc`, `f` may rewrite them.
+template <typename Interface, typename F>
+void ForEachSignal(Interface& acc, F&& f) {
+  for (auto* ref : {&acc.in_valid, &acc.in_ready, &acc.host_ready,
+                    &acc.out_valid, &acc.progress_qualifier}) {
+    f(*ref);
+  }
+  for (auto& elems : {&acc.data_elems, &acc.out_elems}) {
+    for (auto& elem : *elems) {
+      for (auto& word : elem) f(word);
+    }
+  }
+  for (auto& ref : acc.shared_context) f(ref);
+}
+
 // Width of the monitor's transaction counters. Wide enough that they cannot
 // wrap within any realistic BMC bound (bounds beyond 255 frames are far
 // outside BMC reach for these designs), so counter equality checks are

@@ -18,24 +18,6 @@ using ir::Sort;
 
 namespace {
 
-// Marks the cone of `roots`: every node they reach through operands and,
-// at states, through next-state functions.
-std::vector<bool> Cone(const ir::TransitionSystem& ts,
-                       std::vector<NodeRef> roots) {
-  const ir::Context& ctx = ts.ctx();
-  std::vector<bool> in_cone(ctx.num_nodes(), false);
-  while (!roots.empty()) {
-    const NodeRef ref = roots.back();
-    roots.pop_back();
-    if (ref == ir::kNullNode || in_cone[ref]) continue;
-    in_cone[ref] = true;
-    const Node& node = ctx.node(ref);
-    roots.insert(roots.end(), node.operands.begin(), node.operands.end());
-    if (node.op == Op::kState) roots.push_back(ts.next(ref));
-  }
-  return in_cone;
-}
-
 bool IsArithmetic(Op op) {
   return op == Op::kAdd || op == Op::kSub || op == Op::kMul;
 }
@@ -85,8 +67,9 @@ void Unroller::SelectAbstractNodes() {
       control.push_back(node.operands[1]);
     }
   }
-  const std::vector<bool> data = Cone(ts_, hint.data_roots);
-  const std::vector<bool> reaches_control = Cone(ts_, std::move(control));
+  std::vector<bool> data, reaches_control;
+  ir::MarkCone(ts_, hint.data_roots, data);
+  ir::MarkCone(ts_, control, reaches_control);
   abstract_.assign(ctx.num_nodes(), 0);
   for (NodeRef ref = 1; ref < ctx.num_nodes(); ++ref) {
     const Node& node = ctx.node(ref);

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "aqed/interface.h"
+#include "fault/mutator.h"
 #include "ir/node.h"
 
 namespace aqed::decomp {
@@ -39,14 +40,8 @@ NameMap BuildNameMap(const TransitionSystem& ts) {
 // parent, plus the derived cone/claim/constraint information Validate,
 // Analyze, and extraction all consume.
 struct FragmentPlan {
-  // Resolved interface signals (parent NodeRefs).
-  NodeRef in_valid = ir::kNullNode;
-  NodeRef in_ready = ir::kNullNode;
-  NodeRef host_ready = ir::kNullNode;
-  NodeRef out_valid = ir::kNullNode;
-  std::vector<std::vector<NodeRef>> data_elems;
-  std::vector<std::vector<NodeRef>> out_elems;
-  std::vector<NodeRef> shared;
+  // The fragment's host interface, resolved to parent NodeRefs.
+  core::AcceleratorInterface acc;
 
   // is_cut[ref]: ref is a declared boundary signal of this fragment.
   std::vector<bool> is_cut;
@@ -73,26 +68,6 @@ StatusOr<NodeRef> Resolve(const NameMap& names, const std::string& name,
                          name + "' (" + role + ")");
   }
   return it->second;
-}
-
-// Marks the cone of `root`: stop at cuts (they become free inputs), follow
-// state transitions (a claimed register drags in its next-state logic).
-void MarkCone(const TransitionSystem& parent, const std::vector<bool>& is_cut,
-              NodeRef root, std::vector<bool>& marked) {
-  std::vector<NodeRef> work = {root};
-  while (!work.empty()) {
-    const NodeRef ref = work.back();
-    work.pop_back();
-    if (ref == ir::kNullNode || marked[ref]) continue;
-    marked[ref] = true;
-    if (is_cut[ref]) continue;  // boundary: upstream logic stays outside
-    const Node& node = parent.ctx().node(ref);
-    if (node.op == Op::kState) {
-      work.push_back(parent.next(ref));
-      continue;
-    }
-    for (const NodeRef operand : node.operands) work.push_back(operand);
-  }
 }
 
 // True iff every input/state leaf of `root`'s combinational support (cuts
@@ -152,13 +127,14 @@ StatusOr<FragmentPlan> PlanFragment(const TransitionSystem& parent,
     out = ref.value();
     return Status::Ok();
   };
-  if (Status s = one(sub.in_valid(), "in_valid", plan.in_valid); !s.ok())
+  core::AcceleratorInterface& acc = plan.acc;
+  if (Status s = one(sub.in_valid(), "in_valid", acc.in_valid); !s.ok())
     return s;
-  if (Status s = one(sub.in_ready(), "in_ready", plan.in_ready); !s.ok())
+  if (Status s = one(sub.in_ready(), "in_ready", acc.in_ready); !s.ok())
     return s;
-  if (Status s = one(sub.host_ready(), "host_ready", plan.host_ready); !s.ok())
+  if (Status s = one(sub.host_ready(), "host_ready", acc.host_ready); !s.ok())
     return s;
-  if (Status s = one(sub.out_valid(), "out_valid", plan.out_valid); !s.ok())
+  if (Status s = one(sub.out_valid(), "out_valid", acc.out_valid); !s.ok())
     return s;
   if (sub.data_elems().empty() || sub.out_elems().empty()) {
     return Status::Error("sub-accelerator '" + sub.name() +
@@ -178,30 +154,22 @@ StatusOr<FragmentPlan> PlanFragment(const TransitionSystem& parent,
     }
     return Status::Ok();
   };
-  if (Status s = many(sub.data_elems(), "data element", plan.data_elems);
+  if (Status s = many(sub.data_elems(), "data element", acc.data_elems);
       !s.ok())
     return s;
-  if (Status s = many(sub.out_elems(), "out element", plan.out_elems); !s.ok())
+  if (Status s = many(sub.out_elems(), "out element", acc.out_elems); !s.ok())
     return s;
   for (const std::string& name : sub.shared()) {
     auto ref = Resolve(names, name, sub.name(), "shared");
     if (!ref.ok()) return ref.status();
-    plan.shared.push_back(ref.value());
+    acc.shared_context.push_back(ref.value());
   }
 
-  // Cone = everything the fragment's interface can observe.
-  const auto roots = [&](NodeRef ref) {
-    MarkCone(parent, plan.is_cut, ref, plan.marked);
-  };
-  roots(plan.in_valid);
-  roots(plan.in_ready);
-  roots(plan.host_ready);
-  roots(plan.out_valid);
-  for (const auto& elem : plan.data_elems)
-    for (const NodeRef word : elem) roots(word);
-  for (const auto& elem : plan.out_elems)
-    for (const NodeRef word : elem) roots(word);
-  for (const NodeRef ref : plan.shared) roots(ref);
+  // Cone = everything the fragment's interface can observe, stopping at
+  // cuts (they become free inputs).
+  std::vector<NodeRef> roots;
+  core::ForEachSignal(acc, [&](NodeRef ref) { roots.push_back(ref); });
+  ir::MarkCone(parent, roots, plan.marked, plan.is_cut);
 
   for (const NodeRef state : parent.states()) {
     if (plan.marked[state] && !plan.is_cut[state]) {
@@ -214,76 +182,9 @@ StatusOr<FragmentPlan> PlanFragment(const TransitionSystem& parent,
   for (const NodeRef constraint : parent.constraints()) {
     if (!SupportInCone(parent, plan.is_cut, plan.marked, constraint)) continue;
     plan.carried_constraints.push_back(constraint);
-    MarkCone(parent, plan.is_cut, constraint, plan.marked);
+    ir::MarkCone(parent, std::span(&constraint, 1), plan.marked, plan.is_cut);
   }
   return plan;
-}
-
-// Rebuilds one operation node in the fragment (operands already mapped).
-// Leaves are handled by the extraction loop.
-NodeRef BuildOp(Context& ctx, const Node& src, const std::vector<NodeRef>& m) {
-  const auto op = [&](size_t i) { return m[src.operands[i]]; };
-  switch (src.op) {
-    case Op::kNot:
-      return ctx.Not(op(0));
-    case Op::kAnd:
-      return ctx.And(op(0), op(1));
-    case Op::kOr:
-      return ctx.Or(op(0), op(1));
-    case Op::kXor:
-      return ctx.Xor(op(0), op(1));
-    case Op::kNeg:
-      return ctx.Neg(op(0));
-    case Op::kAdd:
-      return ctx.Add(op(0), op(1));
-    case Op::kSub:
-      return ctx.Sub(op(0), op(1));
-    case Op::kMul:
-      return ctx.Mul(op(0), op(1));
-    case Op::kUdiv:
-      return ctx.Udiv(op(0), op(1));
-    case Op::kUrem:
-      return ctx.Urem(op(0), op(1));
-    case Op::kEq:
-      return ctx.Eq(op(0), op(1));
-    case Op::kNe:
-      return ctx.Ne(op(0), op(1));
-    case Op::kUlt:
-      return ctx.Ult(op(0), op(1));
-    case Op::kUle:
-      return ctx.Ule(op(0), op(1));
-    case Op::kSlt:
-      return ctx.Slt(op(0), op(1));
-    case Op::kSle:
-      return ctx.Sle(op(0), op(1));
-    case Op::kShl:
-      return ctx.Shl(op(0), op(1));
-    case Op::kLshr:
-      return ctx.Lshr(op(0), op(1));
-    case Op::kAshr:
-      return ctx.Ashr(op(0), op(1));
-    case Op::kIte:
-      return ctx.Ite(op(0), op(1), op(2));
-    case Op::kConcat:
-      return ctx.Concat(op(0), op(1));
-    case Op::kExtract:
-      return ctx.Extract(op(0), src.aux0, src.aux1);
-    case Op::kZext:
-      return ctx.Zext(op(0), src.sort.width);
-    case Op::kSext:
-      return ctx.Sext(op(0), src.sort.width);
-    case Op::kRead:
-      return ctx.Read(op(0), op(1));
-    case Op::kWrite:
-      return ctx.Write(op(0), op(1), op(2));
-    case Op::kConst:
-    case Op::kConstArray:
-    case Op::kInput:
-    case Op::kState:
-      break;
-  }
-  AQED_CHECK(false, "decomp BuildOp on unexpected op");
-  return ir::kNullNode;
 }
 
 // Extracts the planned fragment into `frag` and wires its host interface.
@@ -303,35 +204,11 @@ core::AcceleratorInterface ExtractFragment(const TransitionSystem& parent,
 
   for (NodeRef ref = 1; ref < pctx.num_nodes(); ++ref) {
     if (!plan.marked[ref]) continue;
-    const Node& node = pctx.node(ref);
-    if (plan.is_cut[ref]) {
-      // The boundary: whatever drove this signal upstream, the fragment
-      // sees a free input — the over-approximated environment.
-      map[ref] = frag.AddInput(plan.cut_name.at(ref), node.sort);
-      continue;
-    }
-    switch (node.op) {
-      case Op::kInput:
-        map[ref] = frag.AddInput(node.name, node.sort);
-        break;
-      case Op::kState:
-        map[ref] = frag.AddState(
-            node.name, node.sort,
-            parent.has_init(ref)
-                ? std::optional<uint64_t>(parent.init_value(ref))
-                : std::nullopt);
-        break;
-      case Op::kConst:
-        map[ref] = fctx.Const(node.sort.width, node.const_val);
-        break;
-      case Op::kConstArray:
-        map[ref] = fctx.ConstArray(node.sort.index_width, node.sort.elem_width,
-                                   pctx.node(node.operands[0]).const_val);
-        break;
-      default:
-        map[ref] = BuildOp(fctx, node, map);
-        break;
-    }
+    // A cut is the boundary: whatever drove it upstream, the fragment sees
+    // a free input — the over-approximated environment.
+    map[ref] = plan.is_cut[ref]
+                   ? frag.AddInput(plan.cut_name.at(ref), pctx.sort(ref))
+                   : ir::CopyNode(parent, ref, map, frag);
   }
 
   for (const NodeRef state : plan.claimed_states) {
@@ -356,24 +233,7 @@ core::AcceleratorInterface ExtractFragment(const TransitionSystem& parent,
     frag.AddConstraint(assume(fctx, signal));
   }
 
-  core::AcceleratorInterface acc;
-  acc.in_valid = map[plan.in_valid];
-  acc.in_ready = map[plan.in_ready];
-  acc.host_ready = map[plan.host_ready];
-  acc.out_valid = map[plan.out_valid];
-  const auto remap = [&](const std::vector<std::vector<NodeRef>>& elems) {
-    std::vector<std::vector<NodeRef>> out;
-    for (const auto& elem : elems) {
-      std::vector<NodeRef> words;
-      for (const NodeRef word : elem) words.push_back(map[word]);
-      out.push_back(std::move(words));
-    }
-    return out;
-  };
-  acc.data_elems = remap(plan.data_elems);
-  acc.out_elems = remap(plan.out_elems);
-  for (const NodeRef ref : plan.shared) acc.shared_context.push_back(map[ref]);
-  return acc;
+  return fault::RemapInterface(plan.acc, map);
 }
 
 uint32_t SortBits(const ir::Sort& sort) {

@@ -12,22 +12,12 @@
 #include "support/failpoint.h"
 #include "support/io.h"
 #include "support/record.h"
+#include "support/verdict.h"
 #include "telemetry/json.h"
 
 namespace aqed::fault {
 
 namespace {
-
-// Reverse lookup over an enum's canonical name function, for enums whose
-// values run from 0 to `last`: the journal stores the human-readable names
-// (grep-able, stable across enum reorders), never the raw integers.
-template <typename E, typename Namer>
-std::optional<E> EnumFromName(std::string_view name, E last, Namer namer) {
-  for (int i = 0; i <= static_cast<int>(last); ++i) {
-    if (name == namer(static_cast<E>(i))) return static_cast<E>(i);
-  }
-  return std::nullopt;
-}
 
 std::string EncodePayload(const MutantReport& report) {
   using telemetry::Json;
@@ -61,8 +51,8 @@ std::optional<MutantReport> DecodePayload(std::string_view payload) {
   const auto node = json->GetInt("node", 0, UINT32_MAX);
   const auto seed = json->GetInt("seed", INT64_MIN, INT64_MAX);
   const auto verdict = ReadVerdictColumns(*json);
-  // The wire-stable mapping in support/verdict.h is the single source of
-  // truth for the outcome enums; only the fault-local ones use EnumFromName.
+  // support/verdict.h maps the outcome enums; its EnumFromName also serves
+  // the fault-local ones below.
   const auto unknown =
       UnknownReasonFromString(json->GetString("unknown_reason").value_or(""));
   const auto wall_seconds = json->GetDouble("wall_seconds");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include "support/bits.h"
 #include "support/rng.h"
@@ -113,39 +114,13 @@ uint32_t PerturbBit(const MutantKey& key, uint32_t width) {
 // the accelerator interface signals the A-QED monitors will tap.
 std::vector<bool> LiveSet(const ir::TransitionSystem& ts,
                           const core::AcceleratorInterface& acc) {
-  const Context& ctx = ts.ctx();
-  std::vector<bool> live(ctx.num_nodes(), false);
-  std::vector<NodeRef> stack;
-  const auto root = [&](NodeRef ref) {
-    if (ref != ir::kNullNode && !live[ref]) {
-      live[ref] = true;
-      stack.push_back(ref);
-    }
-  };
-  for (NodeRef state : ts.states()) {
-    root(state);
-    root(ts.next(state));
-  }
-  for (NodeRef c : ts.constraints()) root(c);
-  for (NodeRef b : ts.bads()) root(b);
-  for (const auto& [name, node] : ts.outputs()) root(node);
-  root(acc.in_valid);
-  root(acc.in_ready);
-  root(acc.host_ready);
-  root(acc.out_valid);
-  root(acc.progress_qualifier);
-  for (const auto& elem : acc.data_elems) {
-    for (NodeRef word : elem) root(word);
-  }
-  for (const auto& elem : acc.out_elems) {
-    for (NodeRef word : elem) root(word);
-  }
-  for (NodeRef shared : acc.shared_context) root(shared);
-  while (!stack.empty()) {
-    const NodeRef ref = stack.back();
-    stack.pop_back();
-    for (NodeRef operand : ctx.node(ref).operands) root(operand);
-  }
+  std::vector<NodeRef> roots = ts.states();
+  roots.insert(roots.end(), ts.constraints().begin(), ts.constraints().end());
+  roots.insert(roots.end(), ts.bads().begin(), ts.bads().end());
+  for (const auto& [name, node] : ts.outputs()) roots.push_back(node);
+  core::ForEachSignal(acc, [&](NodeRef ref) { roots.push_back(ref); });
+  std::vector<bool> live;
+  ir::MarkCone(ts, roots, live);
   return live;
 }
 
@@ -154,72 +129,6 @@ bool HasConstOperand(const Context& ctx, const Node& node) {
     if (ctx.node(operand).op == Op::kConst) return true;
   }
   return false;
-}
-
-// Rebuilds one operation node in `ctx` (operands already mapped).
-NodeRef BuildOp(Context& ctx, Op op, const Node& src,
-                const std::vector<NodeRef>& ops) {
-  switch (op) {
-    case Op::kNot:
-      return ctx.Not(ops[0]);
-    case Op::kAnd:
-      return ctx.And(ops[0], ops[1]);
-    case Op::kOr:
-      return ctx.Or(ops[0], ops[1]);
-    case Op::kXor:
-      return ctx.Xor(ops[0], ops[1]);
-    case Op::kNeg:
-      return ctx.Neg(ops[0]);
-    case Op::kAdd:
-      return ctx.Add(ops[0], ops[1]);
-    case Op::kSub:
-      return ctx.Sub(ops[0], ops[1]);
-    case Op::kMul:
-      return ctx.Mul(ops[0], ops[1]);
-    case Op::kUdiv:
-      return ctx.Udiv(ops[0], ops[1]);
-    case Op::kUrem:
-      return ctx.Urem(ops[0], ops[1]);
-    case Op::kEq:
-      return ctx.Eq(ops[0], ops[1]);
-    case Op::kNe:
-      return ctx.Ne(ops[0], ops[1]);
-    case Op::kUlt:
-      return ctx.Ult(ops[0], ops[1]);
-    case Op::kUle:
-      return ctx.Ule(ops[0], ops[1]);
-    case Op::kSlt:
-      return ctx.Slt(ops[0], ops[1]);
-    case Op::kSle:
-      return ctx.Sle(ops[0], ops[1]);
-    case Op::kShl:
-      return ctx.Shl(ops[0], ops[1]);
-    case Op::kLshr:
-      return ctx.Lshr(ops[0], ops[1]);
-    case Op::kAshr:
-      return ctx.Ashr(ops[0], ops[1]);
-    case Op::kIte:
-      return ctx.Ite(ops[0], ops[1], ops[2]);
-    case Op::kConcat:
-      return ctx.Concat(ops[0], ops[1]);
-    case Op::kExtract:
-      return ctx.Extract(ops[0], src.aux0, src.aux1);
-    case Op::kZext:
-      return ctx.Zext(ops[0], src.sort.width);
-    case Op::kSext:
-      return ctx.Sext(ops[0], src.sort.width);
-    case Op::kRead:
-      return ctx.Read(ops[0], ops[1]);
-    case Op::kWrite:
-      return ctx.Write(ops[0], ops[1], ops[2]);
-    case Op::kConst:
-    case Op::kConstArray:
-    case Op::kInput:
-    case Op::kState:
-      break;  // leaves are handled by the caller
-  }
-  AQED_CHECK(false, "BuildOp on unexpected op");
-  return ir::kNullNode;
 }
 
 bool IsApplicable(const ir::TransitionSystem& ts, const MutantKey& key) {
@@ -241,6 +150,43 @@ bool IsApplicable(const ir::TransitionSystem& ts, const MutantKey& key) {
       return IsOffByOneSite(node) && HasConstOperand(ctx, node);
   }
   return false;
+}
+
+// The mutation site `key.node` rebuilt into `dst` with the mutation
+// applied; its operands are already `map`ped. A stuck-at site is copied
+// unchanged: ApplyMutant replaces its next function.
+NodeRef MutatedNode(const ir::TransitionSystem& src, const MutantKey& key,
+                    std::span<const NodeRef> map, ir::TransitionSystem& dst) {
+  const Node& node = src.ctx().node(key.node);
+  Context& dctx = dst.ctx();
+  std::vector<NodeRef> ops;
+  for (NodeRef operand : node.operands) ops.push_back(map[operand]);
+  switch (key.op) {
+    case MutationOp::kConstPerturb: {
+      const uint32_t bit = PerturbBit(key, node.sort.width);
+      return dctx.Const(node.sort.width, node.const_val ^ (uint64_t{1} << bit));
+    }
+    case MutationOp::kOperatorSwap:
+      return dctx.Build(SwappedOp(node.op), ops, node.aux0, node.aux1,
+                        node.sort.width);
+    case MutationOp::kOffByOne:
+      // Bump the first constant operand: i+1 becomes i+2 (the classic
+      // counter-update off-by-one).
+      for (size_t i = 0; i < ops.size(); ++i) {
+        const Node& operand = src.ctx().node(node.operands[i]);
+        if (operand.op == Op::kConst) {
+          ops[i] = dctx.Const(operand.sort.width, operand.const_val + 1);
+          break;
+        }
+      }
+      return dctx.Build(node.op, ops, node.aux0, node.aux1, node.sort.width);
+    case MutationOp::kCondNegate:
+      return dctx.Not(ir::CopyNode(src, key.node, map, dst));
+    case MutationOp::kStuckAtZero:
+    case MutationOp::kStuckAtOne:
+      break;
+  }
+  return ir::CopyNode(src, key.node, map, dst);
 }
 
 }  // namespace
@@ -298,65 +244,9 @@ std::vector<NodeRef> ApplyMutant(const ir::TransitionSystem& src,
   const Context& sctx = src.ctx();
   Context& dctx = dst.ctx();
   std::vector<NodeRef> map(sctx.num_nodes(), ir::kNullNode);
-
   for (NodeRef ref = 1; ref < sctx.num_nodes(); ++ref) {
-    const Node& node = sctx.node(ref);
-    const bool target = ref == key.node;
-    NodeRef out = ir::kNullNode;
-    switch (node.op) {
-      case Op::kConst: {
-        uint64_t value = node.const_val;
-        if (target && key.op == MutationOp::kConstPerturb) {
-          value ^= uint64_t{1} << PerturbBit(key, node.sort.width);
-        }
-        out = dctx.Const(node.sort.width, value);
-        break;
-      }
-      case Op::kConstArray: {
-        // The default-element operand is an already-mapped kConst in dst;
-        // read its (possibly perturbed) value back out.
-        const uint64_t value =
-            dctx.node(map[node.operands[0]]).const_val;
-        out = dctx.ConstArray(node.sort.index_width, node.sort.elem_width,
-                              value);
-        break;
-      }
-      case Op::kInput:
-        out = dst.AddInput(node.name, node.sort);
-        break;
-      case Op::kState: {
-        std::optional<uint64_t> init;
-        if (src.has_init(ref)) init = src.init_value(ref);
-        out = dst.AddState(node.name, node.sort, init);
-        break;
-      }
-      default: {
-        std::vector<NodeRef> ops;
-        ops.reserve(node.operands.size());
-        for (NodeRef operand : node.operands) ops.push_back(map[operand]);
-        Op op = node.op;
-        if (target && key.op == MutationOp::kOperatorSwap) {
-          op = SwappedOp(op);
-        }
-        if (target && key.op == MutationOp::kOffByOne) {
-          // Bump the first constant operand: i+1 becomes i+2 (the classic
-          // counter-update off-by-one).
-          for (size_t i = 0; i < node.operands.size(); ++i) {
-            const Node& operand = sctx.node(node.operands[i]);
-            if (operand.op == Op::kConst) {
-              ops[i] = dctx.Const(operand.sort.width, operand.const_val + 1);
-              break;
-            }
-          }
-        }
-        out = BuildOp(dctx, op, node, ops);
-        if (target && key.op == MutationOp::kCondNegate) {
-          out = dctx.Not(out);
-        }
-        break;
-      }
-    }
-    map[ref] = out;
+    map[ref] = ref == key.node ? MutatedNode(src, key, map, dst)
+                               : ir::CopyNode(src, ref, map, dst);
   }
 
   for (NodeRef state : src.states()) {
@@ -384,33 +274,8 @@ std::vector<NodeRef> ApplyMutant(const ir::TransitionSystem& src,
 core::AcceleratorInterface RemapInterface(
     const core::AcceleratorInterface& acc,
     const std::vector<NodeRef>& map) {
-  const auto remap = [&](NodeRef ref) {
-    return ref == ir::kNullNode ? ir::kNullNode : map[ref];
-  };
-  core::AcceleratorInterface out;
-  out.in_valid = remap(acc.in_valid);
-  out.in_ready = remap(acc.in_ready);
-  out.host_ready = remap(acc.host_ready);
-  out.out_valid = remap(acc.out_valid);
-  out.progress_qualifier = remap(acc.progress_qualifier);
-  out.data_elems.reserve(acc.data_elems.size());
-  for (const auto& elem : acc.data_elems) {
-    std::vector<NodeRef> words;
-    words.reserve(elem.size());
-    for (NodeRef word : elem) words.push_back(remap(word));
-    out.data_elems.push_back(std::move(words));
-  }
-  out.out_elems.reserve(acc.out_elems.size());
-  for (const auto& elem : acc.out_elems) {
-    std::vector<NodeRef> words;
-    words.reserve(elem.size());
-    for (NodeRef word : elem) words.push_back(remap(word));
-    out.out_elems.push_back(std::move(words));
-  }
-  out.shared_context.reserve(acc.shared_context.size());
-  for (NodeRef shared : acc.shared_context) {
-    out.shared_context.push_back(remap(shared));
-  }
+  core::AcceleratorInterface out = acc;
+  core::ForEachSignal(out, [&](NodeRef& ref) { ref = map[ref]; });
   return out;
 }
 

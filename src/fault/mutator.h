@@ -83,7 +83,8 @@ std::vector<ir::NodeRef> ApplyMutant(const ir::TransitionSystem& src,
                                      const MutantKey& key,
                                      ir::TransitionSystem& dst);
 
-// Remaps every NodeRef of an interface through the ApplyMutant map.
+// Remaps every NodeRef of an interface through a rebuild's old-ref ->
+// new-ref map (ApplyMutant's, or a decomposition fragment's).
 core::AcceleratorInterface RemapInterface(const core::AcceleratorInterface& acc,
                                           const std::vector<ir::NodeRef>& map);
 

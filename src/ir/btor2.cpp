@@ -6,6 +6,7 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -14,6 +15,45 @@
 namespace aqed::ir {
 
 namespace {
+
+// The BTOR2 name and operand count of every operation, shared by the
+// writer and the reader. Slices and extensions carry literals after their
+// operand, and the writer coerces shift amounts, so those stay special
+// cases on both sides.
+struct Btor2Op {
+  Op op;
+  std::string_view name;
+  size_t arity;
+};
+constexpr Btor2Op kBtor2Ops[] = {
+    {Op::kNot, "not", 1},     {Op::kAnd, "and", 2},
+    {Op::kOr, "or", 2},       {Op::kXor, "xor", 2},
+    {Op::kNeg, "neg", 1},     {Op::kAdd, "add", 2},
+    {Op::kSub, "sub", 2},     {Op::kMul, "mul", 2},
+    {Op::kUdiv, "udiv", 2},   {Op::kUrem, "urem", 2},
+    {Op::kEq, "eq", 2},       {Op::kNe, "neq", 2},
+    {Op::kUlt, "ult", 2},     {Op::kUle, "ulte", 2},
+    {Op::kSlt, "slt", 2},     {Op::kSle, "slte", 2},
+    {Op::kShl, "sll", 2},     {Op::kLshr, "srl", 2},
+    {Op::kAshr, "sra", 2},    {Op::kIte, "ite", 3},
+    {Op::kConcat, "concat", 2}, {Op::kExtract, "slice", 1},
+    {Op::kZext, "uext", 1},   {Op::kSext, "sext", 1},
+    {Op::kRead, "read", 2},   {Op::kWrite, "write", 3},
+};
+
+const Btor2Op* FindBtor2Op(Op op) {
+  for (const Btor2Op& row : kBtor2Ops) {
+    if (row.op == op) return &row;
+  }
+  return nullptr;
+}
+
+const Btor2Op* FindBtor2Op(std::string_view name) {
+  for (const Btor2Op& row : kBtor2Ops) {
+    if (row.name == name) return &row;
+  }
+  return nullptr;
+}
 
 // Incremental BTOR2 line emitter with sort and node deduplication.
 class Btor2Writer {
@@ -126,89 +166,36 @@ class Btor2Writer {
         node_line_[ref] = id;
         return;
       }
-      case Op::kInput: {
-        const uint64_t sort_id = SortId(sort);
-        const uint64_t id = next_id_++;
-        out_ << id << " input " << sort_id << ' ' << node.name << '\n';
-        node_line_[ref] = id;
-        return;
-      }
+      case Op::kInput:
       case Op::kState: {
         const uint64_t sort_id = SortId(sort);
         const uint64_t id = next_id_++;
-        out_ << id << " state " << sort_id << ' ' << node.name << '\n';
-        node_line_[ref] = id;
-        return;
-      }
-      case Op::kExtract: {
-        const uint64_t id = next_id_++;
-        out_ << id << " slice " << SortId(sort) << ' '
-             << node_line_.at(node.operands[0]) << ' ' << node.aux0 << ' '
-             << node.aux1 << '\n';
-        node_line_[ref] = id;
-        return;
-      }
-      case Op::kZext:
-      case Op::kSext: {
-        const uint64_t sort_id = SortId(sort);
-        const uint64_t id = next_id_++;
-        const uint32_t extend =
-            sort.width - ctx_.width(node.operands[0]);
-        out_ << id << (node.op == Op::kZext ? " uext " : " sext ")
-             << sort_id << ' ' << node_line_.at(node.operands[0]) << ' '
-             << extend << '\n';
-        node_line_[ref] = id;
-        return;
-      }
-      case Op::kShl:
-      case Op::kLshr:
-      case Op::kAshr: {
-        const char* name = node.op == Op::kShl    ? "sll"
-                           : node.op == Op::kLshr ? "srl"
-                                                  : "sra";
-        const uint64_t sort_id = SortId(sort);
-        const uint64_t amount =
-            CoerceAmount(node.operands[1], sort.width);
-        const uint64_t id = next_id_++;
-        out_ << id << ' ' << name << ' ' << sort_id << ' '
-             << node_line_.at(node.operands[0]) << ' ' << amount << '\n';
+        out_ << id << (node.op == Op::kInput ? " input " : " state ")
+             << sort_id << ' ' << node.name << '\n';
         node_line_[ref] = id;
         return;
       }
       default:
         break;
     }
-    // Uniform operand-list operations.
-    const char* name = nullptr;
-    switch (node.op) {
-      case Op::kNot: name = "not"; break;
-      case Op::kAnd: name = "and"; break;
-      case Op::kOr: name = "or"; break;
-      case Op::kXor: name = "xor"; break;
-      case Op::kNeg: name = "neg"; break;
-      case Op::kAdd: name = "add"; break;
-      case Op::kSub: name = "sub"; break;
-      case Op::kMul: name = "mul"; break;
-      case Op::kUdiv: name = "udiv"; break;
-      case Op::kUrem: name = "urem"; break;
-      case Op::kEq: name = "eq"; break;
-      case Op::kNe: name = "neq"; break;
-      case Op::kUlt: name = "ult"; break;
-      case Op::kUle: name = "ulte"; break;
-      case Op::kSlt: name = "slt"; break;
-      case Op::kSle: name = "slte"; break;
-      case Op::kIte: name = "ite"; break;
-      case Op::kConcat: name = "concat"; break;
-      case Op::kRead: name = "read"; break;
-      case Op::kWrite: name = "write"; break;
-      default:
-        AQED_CHECK(false, "ExportBtor2: unhandled op");
-    }
+    const Btor2Op* row = FindBtor2Op(node.op);
+    AQED_CHECK(row != nullptr, "ExportBtor2: unhandled op");
     const uint64_t sort_id = SortId(sort);
+    const bool shift = node.op == Op::kShl || node.op == Op::kLshr ||
+                       node.op == Op::kAshr;
+    // A shift amount's sort must match its value's: coerce it first.
+    const uint64_t amount =
+        shift ? CoerceAmount(node.operands[1], sort.width) : 0;
     const uint64_t id = next_id_++;
-    out_ << id << ' ' << name << ' ' << sort_id;
-    for (NodeRef operand : node.operands) {
-      out_ << ' ' << node_line_.at(operand);
+    out_ << id << ' ' << row->name << ' ' << sort_id;
+    for (size_t i = 0; i < node.operands.size(); ++i) {
+      out_ << ' '
+           << (shift && i == 1 ? amount : node_line_.at(node.operands[i]));
+    }
+    // Slices and extensions carry their literals after the operand.
+    if (node.op == Op::kExtract) out_ << ' ' << node.aux0 << ' ' << node.aux1;
+    if (node.op == Op::kZext || node.op == Op::kSext) {
+      out_ << ' ' << sort.width - ctx_.width(node.operands[0]);
     }
     out_ << '\n';
     node_line_[ref] = id;
@@ -431,15 +418,7 @@ class Btor2Reader {
     std::vector<uint64_t> literal;  // trailing numeric arguments
     for (size_t i = 3; i < tok.size(); ++i) {
       // slice/uext/sext carry plain numbers after the node operands.
-      if (kind == "slice" && i >= 4) {
-        uint64_t value = 0;
-        if (Status status = ParseUint(tok[i], value); !status.ok()) {
-          return status;
-        }
-        literal.push_back(value);
-        continue;
-      }
-      if ((kind == "uext" || kind == "sext") && i >= 4) {
+      if ((kind == "slice" || kind == "uext" || kind == "sext") && i >= 4) {
         uint64_t value = 0;
         if (Status status = ParseUint(tok[i], value); !status.ok()) {
           return status;
@@ -457,52 +436,24 @@ class Btor2Reader {
       return Status::Error("ill-sorted or out-of-range operands for '" +
                            kind + "'");
     }
-    Context& ctx = ts_->ctx();
-    auto need = [&](size_t n) { return operand.size() == n; };
-    NodeRef result = kNullNode;
-    if (kind == "not" && need(1)) result = ctx.Not(operand[0]);
-    else if (kind == "neg" && need(1)) result = ctx.Neg(operand[0]);
-    else if (kind == "and" && need(2)) result = ctx.And(operand[0], operand[1]);
-    else if (kind == "or" && need(2)) result = ctx.Or(operand[0], operand[1]);
-    else if (kind == "xor" && need(2)) result = ctx.Xor(operand[0], operand[1]);
-    else if (kind == "add" && need(2)) result = ctx.Add(operand[0], operand[1]);
-    else if (kind == "sub" && need(2)) result = ctx.Sub(operand[0], operand[1]);
-    else if (kind == "mul" && need(2)) result = ctx.Mul(operand[0], operand[1]);
-    else if (kind == "udiv" && need(2)) result = ctx.Udiv(operand[0], operand[1]);
-    else if (kind == "urem" && need(2)) result = ctx.Urem(operand[0], operand[1]);
-    else if (kind == "eq" && need(2)) result = ctx.Eq(operand[0], operand[1]);
-    else if (kind == "neq" && need(2)) result = ctx.Ne(operand[0], operand[1]);
-    else if (kind == "ult" && need(2)) result = ctx.Ult(operand[0], operand[1]);
-    else if (kind == "ulte" && need(2)) result = ctx.Ule(operand[0], operand[1]);
-    else if (kind == "ugt" && need(2)) result = ctx.Ugt(operand[0], operand[1]);
-    else if (kind == "ugte" && need(2)) result = ctx.Uge(operand[0], operand[1]);
-    else if (kind == "slt" && need(2)) result = ctx.Slt(operand[0], operand[1]);
-    else if (kind == "slte" && need(2)) result = ctx.Sle(operand[0], operand[1]);
-    else if (kind == "sll" && need(2)) result = ctx.Shl(operand[0], operand[1]);
-    else if (kind == "srl" && need(2)) result = ctx.Lshr(operand[0], operand[1]);
-    else if (kind == "sra" && need(2)) result = ctx.Ashr(operand[0], operand[1]);
-    else if (kind == "concat" && need(2)) {
-      result = ctx.Concat(operand[0], operand[1]);
-    } else if (kind == "read" && need(2)) {
-      result = ctx.Read(operand[0], operand[1]);
-    } else if (kind == "ite" && need(3)) {
-      result = ctx.Ite(operand[0], operand[1], operand[2]);
-    } else if (kind == "write" && need(3)) {
-      result = ctx.Write(operand[0], operand[1], operand[2]);
-    } else if (kind == "slice" && need(1) && literal.size() == 2) {
-      result = ctx.Extract(operand[0], static_cast<uint32_t>(literal[0]),
-                           static_cast<uint32_t>(literal[1]));
-    } else if (kind == "uext" && need(1) && literal.size() == 1) {
-      result = ctx.Zext(operand[0],
-                        ctx.width(operand[0]) +
-                            static_cast<uint32_t>(literal[0]));
-    } else if (kind == "sext" && need(1) && literal.size() == 1) {
-      result = ctx.Sext(operand[0],
-                        ctx.width(operand[0]) +
-                            static_cast<uint32_t>(literal[0]));
-    } else {
+    // ugt/ugte are ult/ulte with their operands swapped.
+    const bool swapped = kind == "ugt" || kind == "ugte";
+    const Btor2Op* row = FindBtor2Op(
+        swapped ? (kind == "ugt" ? "ult" : "ulte") : std::string_view(kind));
+    const size_t literals =
+        kind == "slice" ? 2 : (kind == "uext" || kind == "sext" ? 1 : 0);
+    if (row == nullptr || operand.size() != row->arity ||
+        literal.size() != literals) {
       return Status::Error("unsupported operation '" + kind + "'");
     }
+    if (swapped) std::swap(operand[0], operand[1]);
+    Context& ctx = ts_->ctx();
+    const auto lit = [&](size_t i) {
+      return i < literal.size() ? static_cast<uint32_t>(literal[i]) : 0;
+    };
+    const NodeRef result =
+        ctx.Build(row->op, operand, lit(0), lit(1),
+                  literals == 1 ? ctx.width(operand[0]) + lit(0) : 0);
     if (ctx.sort(result) != sort) {
       return Status::Error("result sort mismatch for '" + kind + "'");
     }

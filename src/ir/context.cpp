@@ -1,6 +1,7 @@
 #include "ir/context.h"
 
 #include <array>
+#include <string>
 
 #include "ir/eval.h"
 #include "support/status.h"
@@ -320,6 +321,50 @@ NodeRef Context::Write(NodeRef array, NodeRef index, NodeRef value) {
   AQED_CHECK(width(index) == array_sort.index_width, "Write index width");
   AQED_CHECK(width(value) == array_sort.elem_width, "Write value width");
   return Intern(Op::kWrite, array_sort, {array, index, value});
+}
+
+NodeRef Context::Build(Op op, std::span<const NodeRef> operands,
+                       uint32_t aux0, uint32_t aux1, uint32_t width) {
+  const auto x = [&](size_t i) {
+    AQED_CHECK(i < operands.size(),
+               std::string("Build: too few operands for ") + OpName(op));
+    return operands[i];
+  };
+  switch (op) {
+    case Op::kNot: return Not(x(0));
+    case Op::kAnd: return And(x(0), x(1));
+    case Op::kOr: return Or(x(0), x(1));
+    case Op::kXor: return Xor(x(0), x(1));
+    case Op::kNeg: return Neg(x(0));
+    case Op::kAdd: return Add(x(0), x(1));
+    case Op::kSub: return Sub(x(0), x(1));
+    case Op::kMul: return Mul(x(0), x(1));
+    case Op::kUdiv: return Udiv(x(0), x(1));
+    case Op::kUrem: return Urem(x(0), x(1));
+    case Op::kEq: return Eq(x(0), x(1));
+    case Op::kNe: return Ne(x(0), x(1));
+    case Op::kUlt: return Ult(x(0), x(1));
+    case Op::kUle: return Ule(x(0), x(1));
+    case Op::kSlt: return Slt(x(0), x(1));
+    case Op::kSle: return Sle(x(0), x(1));
+    case Op::kShl: return Shl(x(0), x(1));
+    case Op::kLshr: return Lshr(x(0), x(1));
+    case Op::kAshr: return Ashr(x(0), x(1));
+    case Op::kIte: return Ite(x(0), x(1), x(2));
+    case Op::kConcat: return Concat(x(0), x(1));
+    case Op::kExtract: return Extract(x(0), aux0, aux1);
+    case Op::kZext: return Zext(x(0), width);
+    case Op::kSext: return Sext(x(0), width);
+    case Op::kRead: return Read(x(0), x(1));
+    case Op::kWrite: return Write(x(0), x(1), x(2));
+    case Op::kConst:
+    case Op::kConstArray:
+    case Op::kInput:
+    case Op::kState:
+      break;
+  }
+  AQED_CHECK(false, std::string("Build on leaf op ") + OpName(op));
+  return kNullNode;
 }
 
 }  // namespace aqed::ir

@@ -87,6 +87,15 @@ class Context {
   NodeRef Read(NodeRef array, NodeRef index);
   NodeRef Write(NodeRef array, NodeRef index, NodeRef value);
 
+  // --- any operation ----------------------------------------------------
+  // The typed builder of operation `op` over `operands`, the one switch
+  // from Op to builder: rebuilt nodes (mutants, fragments) and imported
+  // BTOR2 lines come through here. aux0/aux1 are kExtract's hi/lo bits and
+  // `width` the kZext/kSext target width; the other operations ignore them.
+  // Leaves are not operations (checked).
+  NodeRef Build(Op op, std::span<const NodeRef> operands, uint32_t aux0 = 0,
+                uint32_t aux1 = 0, uint32_t width = 0);
+
   // All input / state nodes, in creation order.
   const std::vector<NodeRef>& inputs() const { return inputs_; }
   const std::vector<NodeRef>& states() const { return states_; }

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -91,5 +92,22 @@ class TransitionSystem {
   std::vector<std::pair<std::string, NodeRef>> outputs_;
   DataPathHint data_path_hint_;
 };
+
+// Copies node `ref` of `src` into `dst`, whose copies of src's nodes are
+// `map`ped (map[o] is the copy of operand o). An input or state is added
+// again under its name, sort and init (its next function is the caller's
+// to set), a constant is re-interned, a const-array is rebuilt over its
+// mapped default, and an operation goes through Context::Build, so
+// hash-consing and folding act as in a fresh build. Copying every node in
+// ascending order reproduces `src` node for node.
+NodeRef CopyNode(const TransitionSystem& src, NodeRef ref,
+                 std::span<const NodeRef> map, TransitionSystem& dst);
+
+// Marks every node that `roots` reach through operands and, at states,
+// through next-state functions (kNullNode roots are skipped). A node in
+// `stop` is marked but not entered. Marked nodes are not entered again, so
+// repeated calls grow one cone; `marked` is sized to the system here.
+void MarkCone(const TransitionSystem& ts, std::span<const NodeRef> roots,
+              std::vector<bool>& marked, const std::vector<bool>& stop = {});
 
 }  // namespace aqed::ir

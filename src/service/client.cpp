@@ -68,12 +68,6 @@ StatusOr<CampaignResponse> Client::RunCampaign(const CampaignRequest& request) {
   return DecodeCampaignResponse(response.value());
 }
 
-StatusOr<StatsResponse> Client::Stats() {
-  StatusOr<std::string> response = Roundtrip(EncodeStatsRequest());
-  if (!response.ok()) return response.status();
-  return DecodeStatsResponse(response.value());
-}
-
 StatusOr<StatusResponse> Client::ServerStatus() {
   StatusOr<std::string> response = Roundtrip(EncodeStatusRequest());
   if (!response.ok()) return response.status();

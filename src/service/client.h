@@ -34,7 +34,6 @@ class Client {
   // traceable; the response echoes the id the campaign ran under.
   Status Ping();
   StatusOr<CampaignResponse> RunCampaign(const CampaignRequest& request);
-  StatusOr<StatsResponse> Stats();
   // Named ServerStatus (not Status) to keep clear of support::Status.
   StatusOr<StatusResponse> ServerStatus();
   StatusOr<HealthResponse> Health();

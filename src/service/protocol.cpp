@@ -151,10 +151,6 @@ std::string EncodePing() {
   return telemetry::Dump(Json::Object({{"type", Json("ping")}}));
 }
 
-std::string EncodeStatsRequest() {
-  return telemetry::Dump(Json::Object({{"type", Json("stats")}}));
-}
-
 std::string EncodeStatusRequest() {
   return telemetry::Dump(Json::Object({{"type", Json("status")}}));
 }
@@ -271,19 +267,6 @@ std::string EncodeCampaignResponse(const CampaignResponse& response) {
   return telemetry::Dump(Json::Object(std::move(fields)));
 }
 
-std::string EncodeStatsResponse(const StatsResponse& response) {
-  if (!response.ok) return EncodeError(response.error);
-  return telemetry::Dump(Json::Object({
-      {"ok", Json(true)},
-      {"live_requests", Int(response.live_requests)},
-      {"accepted", Int(response.accepted)},
-      {"rejected", Int(response.rejected)},
-      {"cache_entries", Int(response.cache_entries)},
-      {"cache_hits", Int(response.cache_hits)},
-      {"cache_misses", Int(response.cache_misses)},
-  }));
-}
-
 StatusOr<CampaignResponse> DecodeCampaignResponse(std::string_view payload) {
   CampaignResponse response;
   StatusOr<Json> parsed = ParseResponse(payload, response);
@@ -301,24 +284,6 @@ StatusOr<CampaignResponse> DecodeCampaignResponse(std::string_view payload) {
       json.GetInt("cache_misses", 0, INT64_MAX).value_or(0);
   response.wall_seconds = json.GetDouble("wall_seconds").value_or(0);
   response.table = json.GetString("table").value_or("");
-  return response;
-}
-
-StatusOr<StatsResponse> DecodeStatsResponse(std::string_view payload) {
-  StatsResponse response;
-  StatusOr<Json> parsed = ParseResponse(payload, response);
-  if (!parsed.ok()) return parsed.status();
-  if (!response.ok) return response;
-  const Json& json = parsed.value();
-  response.live_requests =
-      json.GetInt("live_requests", 0, INT64_MAX).value_or(0);
-  response.accepted = json.GetInt("accepted", 0, INT64_MAX).value_or(0);
-  response.rejected = json.GetInt("rejected", 0, INT64_MAX).value_or(0);
-  response.cache_entries =
-      json.GetInt("cache_entries", 0, INT64_MAX).value_or(0);
-  response.cache_hits = json.GetInt("cache_hits", 0, INT64_MAX).value_or(0);
-  response.cache_misses =
-      json.GetInt("cache_misses", 0, INT64_MAX).value_or(0);
   return response;
 }
 

@@ -12,7 +12,6 @@
 // a "type" discriminator:
 //
 //   request:  {"type":"ping"}
-//             {"type":"stats"}
 //             {"type":"status"} | {"type":"metrics"} | {"type":"health"}
 //             {"type":"campaign","tenant":"ci","mutants":12,"seed":...,
 //              "trace_id":"7f3a...","designs":["memctrl-fifo"],
@@ -100,17 +99,6 @@ struct CampaignResponse {
   std::string table;             // per-design coverage table (human-facing)
 };
 
-struct StatsResponse {
-  bool ok = false;
-  std::string error;
-  uint64_t live_requests = 0;    // admitted and not yet answered
-  uint64_t accepted = 0;         // connections accepted since start
-  uint64_t rejected = 0;         // admission-control rejections since start
-  uint64_t cache_entries = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-};
-
 // The operator view: everything an `aqed-client --status` call needs to
 // answer "what is this server doing right now". All values come from live
 // server state (admission counters, the solve cache, the server's own
@@ -167,7 +155,6 @@ struct MetricsResponse {
 // typed member; unknown designs are the server's to reject (it owns the
 // catalog), unknown fields are ignored (forward compatibility).
 std::string EncodePing();
-std::string EncodeStatsRequest();
 std::string EncodeStatusRequest();
 std::string EncodeMetricsRequest();
 std::string EncodeHealthRequest();
@@ -181,12 +168,10 @@ StatusOr<CampaignRequest> DecodeCampaignRequest(const telemetry::Json& payload);
 std::string EncodeError(std::string_view message);
 std::string EncodePong();
 std::string EncodeCampaignResponse(const CampaignResponse& response);
-std::string EncodeStatsResponse(const StatsResponse& response);
 std::string EncodeStatusResponse(const StatusResponse& response);
 std::string EncodeHealthResponse(const HealthResponse& response);
 std::string EncodeMetricsResponse(const MetricsResponse& response);
 StatusOr<CampaignResponse> DecodeCampaignResponse(std::string_view payload);
-StatusOr<StatsResponse> DecodeStatsResponse(std::string_view payload);
 StatusOr<StatusResponse> DecodeStatusResponse(std::string_view payload);
 StatusOr<HealthResponse> DecodeHealthResponse(std::string_view payload);
 StatusOr<MetricsResponse> DecodeMetricsResponse(std::string_view payload);

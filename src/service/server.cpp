@@ -365,20 +365,6 @@ std::string AqedServer::DispatchRequest(const telemetry::Json& payload) {
         telemetry::MetricsRegistry::Global().Snapshot());
     return EncodeMetricsResponse(metrics);
   }
-  if (*type == "stats") {
-    StatsResponse stats;
-    stats.ok = true;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats.live_requests = live_;
-      stats.accepted = accepted_;
-      stats.rejected = rejected_;
-    }
-    stats.cache_entries = cache_.size();
-    stats.cache_hits = cache_.hits();
-    stats.cache_misses = cache_.misses();
-    return EncodeStatsResponse(stats);
-  }
   if (*type == "campaign") {
     StatusOr<CampaignRequest> decoded = DecodeCampaignRequest(payload);
     if (!decoded.ok()) return EncodeError(decoded.status().message());

@@ -2,17 +2,19 @@
 //
 // Three small enums describe how verification work ends: a Verdict (what a
 // job concluded), an UnknownReason (why an inconclusive job stopped), and a
-// CancelReason (why a cancellation source fired). They cross every boundary
-// this repo has — stats tables, the fault-campaign journal, telemetry
-// exports, and the aqed-server wire protocol — so each one gets exactly ONE
-// string mapping, defined here, with a FromString inverse. The strings are
-// wire-stable: persisted journals and recorded client batches parse them
-// back, so renaming one is a protocol break, not a refactor.
+// CancelReason (why a cancellation source fired). Each gets exactly ONE
+// string mapping, defined here, with a FromString inverse. Records do not
+// store Verdict: journals and solve caches write fault::AddVerdictColumns'
+// `classification` and `kind` columns, and the journal adds an
+// `unknown_reason` column in the names below. Those names, and the ones
+// stats tables and telemetry print, are stable: old journals parse them
+// back, so renaming one is a format break, not a refactor.
 //
 // ToString is total (AQED-internal enums never hold stray values for long;
 // the "?" fallback keeps logs printable if one ever does). FromString is the
 // exact inverse over the enumerated values and rejects everything else —
-// round-tripped exhaustively in tests/support_test.cpp.
+// round-tripped exhaustively in tests/support_test.cpp. EnumFromName below
+// is the one reverse lookup; the journal uses it for the fault enums too.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +25,8 @@ namespace aqed {
 
 // How a verification job (one property group on one design) concluded. The
 // scheduler's JobResult carries the same information spread over flags
-// (bug_found / checker_error / unknown_reason); Verdict is the closed-form
-// summary the wire protocol and the solve cache store.
+// (bug_found / checker_error / unknown_reason); Verdict is its closed-form
+// summary, which only tests use so far.
 enum class Verdict : uint8_t {
   kBug = 0,      // a validated counterexample was found
   kClean,        // every property refuted up to its bound
@@ -113,29 +115,30 @@ inline const char* ToString(CancelReason reason) {
   return "?";
 }
 
-namespace detail {
-// Shared reverse lookup: walk the canonical value list and compare against
-// the one ToString. Journals and protocol decoders store the names (greppable
-// and stable across enum reorders), never the raw integers.
-template <typename E, size_t N>
-std::optional<E> FromStringImpl(std::string_view name, const E (&values)[N]) {
-  for (const E value : values) {
-    if (name == ToString(value)) return value;
+// Reverse lookup over an enum's one name function, for enums whose values
+// run from 0 to `last`: records store the names (greppable, stable across
+// enum reorders), never the raw integers.
+template <typename E, typename Namer>
+std::optional<E> EnumFromName(std::string_view name, E last, Namer namer) {
+  for (int i = 0; i <= static_cast<int>(last); ++i) {
+    if (name == namer(static_cast<E>(i))) return static_cast<E>(i);
   }
   return std::nullopt;
 }
-}  // namespace detail
 
 inline std::optional<Verdict> VerdictFromString(std::string_view name) {
-  return detail::FromStringImpl(name, kAllVerdicts);
+  return EnumFromName(name, Verdict::kCheckerError,
+                      [](Verdict value) { return ToString(value); });
 }
 inline std::optional<UnknownReason> UnknownReasonFromString(
     std::string_view name) {
-  return detail::FromStringImpl(name, kAllUnknownReasons);
+  return EnumFromName(name, UnknownReason::kMemoryBudget,
+                      [](UnknownReason value) { return ToString(value); });
 }
 inline std::optional<CancelReason> CancelReasonFromString(
     std::string_view name) {
-  return detail::FromStringImpl(name, kAllCancelReasons);
+  return EnumFromName(name, CancelReason::kMemoryBudget,
+                      [](CancelReason value) { return ToString(value); });
 }
 
 }  // namespace aqed

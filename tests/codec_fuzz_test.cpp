@@ -2,7 +2,7 @@
 // process: CRC-guarded journal records and solve-cache lines (one line at a
 // time and as whole files), bare JSON, the service protocol's request and
 // response payloads, the service's length-prefixed frames as read from a
-// socket, DIMACS CNF and BTOR2 models.
+// socket, a live server's request handling, DIMACS CNF and BTOR2 models.
 //
 // Each case starts from valid encoder output and applies a few random byte
 // flips, truncations, splices and token insertions. Record payloads are
@@ -37,7 +37,9 @@
 #include "ir/btor2.h"
 #include "sat/dimacs.h"
 #include "service/cache.h"
+#include "service/client.h"
 #include "service/protocol.h"
+#include "service/server.h"
 #include "support/io.h"
 #include "support/record.h"
 #include "support/rng.h"
@@ -211,9 +213,6 @@ std::vector<std::string> ProtocolCorpus() {
   campaign.mutants = 60;
   campaign.wall_seconds = 12.5;
   campaign.table = "design  mutants\ntoy  60\n";
-  service::StatsResponse stats;
-  stats.ok = true;
-  stats.accepted = 3;
   service::StatusResponse status;
   status.ok = true;
   status.tenants = {{"ci", 2}, {"nightly", 1}};
@@ -227,7 +226,6 @@ std::vector<std::string> ProtocolCorpus() {
   metrics.prometheus = "# TYPE x counter\nx 1\n";
   return {service::EncodeCampaignRequest(request),
           service::EncodeCampaignResponse(campaign),
-          service::EncodeStatsResponse(stats),
           service::EncodeStatusResponse(status),
           service::EncodeHealthResponse(health),
           service::EncodeMetricsResponse(metrics),
@@ -352,7 +350,6 @@ TEST(CodecFuzzTest, JsonAndProtocolPayloadsNeverCrashTheDecoders) {
       ExpectDecodedOrStatus(service::DecodeCampaignRequest(*json));
     }
     ExpectDecodedOrStatus(service::DecodeCampaignResponse(payload));
-    ExpectDecodedOrStatus(service::DecodeStatsResponse(payload));
     ExpectDecodedOrStatus(service::DecodeStatusResponse(payload));
     ExpectDecodedOrStatus(service::DecodeHealthResponse(payload));
     ExpectDecodedOrStatus(service::DecodeMetricsResponse(payload));
@@ -401,6 +398,71 @@ TEST(CodecFuzzTest, FramedStreamsNeverCrashReadFrame) {
     accepted += frames;
   }
   EXPECT_GT(accepted, 0u);
+}
+
+// Whether a request payload costs the server no more than the corpus's
+// tiny campaign: anything that is not a well-formed campaign request, or a
+// campaign of at most two alu mutants on one worker with no extras. The
+// server caps neither `mutants` nor, at the default max_session_jobs 0, a
+// request's `jobs` (and jobs 0 means one worker per core), so a mutant
+// that asks for more could run for minutes or start many threads.
+bool NoBiggerThanTheTinyCampaign(const std::string& payload) {
+  const std::optional<telemetry::Json> json = telemetry::ParseJson(payload);
+  if (!json || service::RequestType(*json) != "campaign") return true;
+  const StatusOr<service::CampaignRequest> request =
+      service::DecodeCampaignRequest(*json);
+  if (!request.ok()) return true;
+  const service::CampaignRequest& r = request.value();
+  return r.designs == std::vector<std::string>{"alu"} &&
+         r.num_mutants <= 2 && r.jobs == 1 && r.retries <= 4 &&
+         !r.baseline && !r.with_aes;
+}
+
+// Mutated ping, status, health, metrics and tiny-campaign payloads, framed
+// correctly and sent to a live server over one connection. Every reply is
+// a frame whose JSON says ok:true, or ok:false with an error, and the
+// server still answers a ping at the end.
+TEST(CodecFuzzTest, ServerAnswersEveryMutatedRequest) {
+  service::CampaignRequest tiny;
+  tiny.tenant = "fuzz";
+  tiny.trace_id = 0xFEEDFACECAFEF00D;
+  tiny.designs = {"alu"};
+  tiny.num_mutants = 2;
+  tiny.seed = 7;
+  const std::vector<std::string> corpus = {
+      service::EncodePing(), service::EncodeStatusRequest(),
+      service::EncodeHealthRequest(), service::EncodeMetricsRequest(),
+      service::EncodeCampaignRequest(tiny)};
+  service::ServerOptions options;
+  options.socket_path = TempPath("server") + ".sock";
+  service::AqedServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  service::Client client(options.socket_path);
+  Rng rng(kSeed + 6);
+  size_t answered = 0, campaigns = 0;
+  for (int i = 0; i < kIterations / 5; ++i) {
+    const std::string payload =
+        Mutate(rng, corpus[rng.NextBelow(corpus.size())], corpus);
+    if (!NoBiggerThanTheTinyCampaign(payload)) continue;
+    const StatusOr<std::string> reply = client.Roundtrip(payload);
+    ASSERT_TRUE(reply.ok()) << payload << ": " << reply.status().message();
+    const std::optional<telemetry::Json> json =
+        telemetry::ParseJson(reply.value());
+    ASSERT_TRUE(json.has_value()) << payload << " -> " << reply.value();
+    const std::optional<bool> ok = json->GetBool("ok");
+    ASSERT_TRUE(ok.has_value()) << payload << " -> " << reply.value();
+    if (!*ok) {
+      EXPECT_FALSE(json->GetString("error").value_or("").empty())
+          << payload << " -> " << reply.value();
+    } else if (json->Find("digest") != nullptr) {
+      ++campaigns;
+    }
+    ++answered;
+  }
+  EXPECT_TRUE(client.Ping().ok());
+  server.Stop();
+  EXPECT_GT(answered, 0u);
+  EXPECT_GT(campaigns, 0u);  // some mutated campaigns still ran
 }
 
 TEST(CodecFuzzTest, DimacsNeverCrashesAndAcceptsOnlyDeclaredVariables) {

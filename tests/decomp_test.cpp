@@ -21,9 +21,11 @@
 #include "decomp/decomposition.h"
 #include "decomp/session.h"
 #include "fault/campaign.h"
+#include "ir/btor2.h"
 #include "ir/digest.h"
 #include "service/cache.h"
 #include "support/failpoint.h"
+#include "support/record.h"
 
 namespace aqed::decomp {
 namespace {
@@ -67,6 +69,44 @@ TEST(DecompositionTest, AnalyzeReportsThePartition) {
   // valid + lane registers.
   EXPECT_EQ(coverage.value().subs[0].cut_signals, 0u);
   EXPECT_EQ(coverage.value().subs[1].cut_signals, 1u + config.lanes);
+}
+
+TEST(DecompositionTest, FragmentRebuildsArePinned) {
+  // Every fragment of a buggy small pipeline and of the bench pipeline:
+  // the anonymous digests the session dedups on, and one hash over the
+  // fragments' BTOR2 text and interfaces, which moves with any node.
+  accel::WidePipeConfig small = SmallConfig(/*bug_stage=*/1);
+  small.stages = 3;
+  std::vector<uint64_t> digests;
+  uint64_t hash = support::kFnvOffset;
+  for (const accel::WidePipeConfig& config :
+       {small, accel::WidePipeBenchConfig()}) {
+    const Decomposition decomposition = accel::WidePipeDecomposition(config);
+    for (size_t i = 0; i < decomposition.subs().size(); ++i) {
+      ir::TransitionSystem frag;
+      const core::AcceleratorInterface acc =
+          decomposition.BuilderFor(i)(frag);
+      digests.push_back(ir::AnonymousStructuralDigest(frag));
+      hash = support::MixText(hash, ir::ToBtor2(frag));
+      for (const auto& elems : {acc.data_elems, acc.out_elems}) {
+        for (const auto& elem : elems) {
+          for (ir::NodeRef word : elem) hash = support::MixInt(hash, word);
+        }
+      }
+      for (ir::NodeRef ref :
+           {acc.in_valid, acc.in_ready, acc.host_ready, acc.out_valid}) {
+        hash = support::MixInt(hash, ref);
+      }
+    }
+  }
+  // Stage 0 and stage 2 of the small pipeline are isomorphic; stage 1
+  // carries the bug. The six bench stages share one digest.
+  const uint64_t clean = 0x9656ab6a42de7909ull;
+  const uint64_t bench = 0xdf4679d8d2041cceull;
+  const uint64_t buggy = 0xead2e1b21b2f6e70ull;
+  EXPECT_EQ(digests, (std::vector<uint64_t>{clean, buggy, clean, bench, bench,
+                                            bench, bench, bench, bench}));
+  EXPECT_EQ(hash, 0xa9730bb8b56b3578ull);
 }
 
 TEST(DecompositionTest, UnknownSignalNamesAreValidationErrors) {

@@ -152,6 +152,19 @@ TEST(Btor2Test, RoundTripOfInstrumentedAccelerator) {
   EXPECT_EQ(original_result.trace.length(), imported_result.trace.length());
 }
 
+TEST(Btor2Test, SliceToANewWidthRoundTrips) {
+  // The slice is the first node of width 3, so its sort line is emitted
+  // with it and must come before the slice's own line.
+  ir::TransitionSystem ts;
+  auto& ctx = ts.ctx();
+  const NodeRef in = ts.AddInput("word", Sort::BitVec(8));
+  const NodeRef field = ctx.Extract(in, 4, 2);
+  ts.AddBad(ctx.Eq(field, ctx.Const(3, 5)), "field5");
+  auto imported = ir::ImportBtor2String(ir::ToBtor2(ts));
+  ASSERT_TRUE(imported.ok()) << imported.status().message();
+  EXPECT_EQ(imported.value()->ctx().num_nodes(), ts.ctx().num_nodes());
+}
+
 TEST(Btor2Test, ImportRejectsMalformedInput) {
   EXPECT_FALSE(ir::ImportBtor2String("1 sort bitvec 0\n").ok());
   EXPECT_FALSE(ir::ImportBtor2String("1 bogus 2 3\n").ok());

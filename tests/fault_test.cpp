@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <string>
 
 #include "accel/dataflow.h"
@@ -19,10 +20,13 @@
 #include "bmc/engine.h"
 #include "fault/campaign.h"
 #include "fault/mutator.h"
+#include "ir/btor2.h"
+#include "ir/digest.h"
 #include "sched/cancellation.h"
 #include "sched/session.h"
 #include "service/registry.h"
 #include "sim/simulator.h"
+#include "support/record.h"
 
 namespace aqed::fault {
 namespace {
@@ -197,6 +201,55 @@ TEST(MutatorTest, MutantBuilderMatchesApplyMutant) {
     EXPECT_EQ(via_apply.states().size(), via_builder.states().size());
     EXPECT_NE(built_acc.out_valid, ir::kNullNode);
   }
+}
+
+// Folds a rebuilt system and its interface into `hash`: the BTOR2 text
+// pins node order, folding and names; the structural digest adds outputs.
+uint64_t MixRebuild(uint64_t hash, const ir::TransitionSystem& ts,
+                    const core::AcceleratorInterface& acc) {
+  hash = support::MixText(hash, ir::ToBtor2(ts));
+  hash = support::MixInt(hash, ir::StructuralDigest(ts));
+  for (NodeRef ref : {acc.in_valid, acc.in_ready, acc.host_ready,
+                      acc.out_valid, acc.progress_qualifier}) {
+    hash = support::MixInt(hash, ref);
+  }
+  for (const auto& elems : {acc.data_elems, acc.out_elems}) {
+    for (const auto& elem : elems) {
+      for (NodeRef word : elem) hash = support::MixInt(hash, word);
+    }
+  }
+  for (NodeRef ref : acc.shared_context) hash = support::MixInt(hash, ref);
+  return hash;
+}
+
+TEST(MutatorTest, RebuiltMutantsArePinned) {
+  // A fixed sample on three catalog designs plus the first site of every
+  // operator per design: any rebuild that moves one node changes the hash.
+  const auto designs = service::BuiltinDesigns({.with_aes = false});
+  uint64_t hash = support::kFnvOffset;
+  std::set<MutationOp> covered;
+  size_t mutants = 0;
+  for (const char* name : {"alu", "dataflow", "memctrl-fifo"}) {
+    const DesignUnderTest* dut = service::FindDesign(designs, name);
+    ASSERT_NE(dut, nullptr) << name;
+    ir::TransitionSystem pristine;
+    const auto acc = dut->build(pristine);
+    std::vector<MutantKey> keys = SampleMutants(pristine, acc, kSeed, 12);
+    std::set<MutationOp> first;
+    for (const MutantKey& key : EnumerateMutants(pristine, acc, kSeed)) {
+      if (first.insert(key.op).second) keys.push_back(key);
+    }
+    for (const MutantKey& key : keys) {
+      ir::TransitionSystem mutant;
+      const auto mutant_acc = MutantBuilder(dut->build, key)(mutant);
+      hash = MixRebuild(hash, mutant, mutant_acc);
+      covered.insert(key.op);
+      ++mutants;
+    }
+  }
+  EXPECT_EQ(covered.size(), 6u);
+  EXPECT_EQ(mutants, 53u);
+  EXPECT_EQ(hash, 0xd1fd26041406da20ull);
 }
 
 // --- UNKNOWN reason codes ----------------------------------------------------

@@ -1,10 +1,17 @@
 // IR unit tests: hash consing, constant folding, sort checking, transition
-// system validation, and the printer.
+// system validation, the cone walk, node-for-node copies, and the printer.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
+#include "fault/campaign.h"
+#include "ir/btor2.h"
 #include "ir/context.h"
+#include "ir/digest.h"
 #include "ir/printer.h"
 #include "ir/transition_system.h"
+#include "service/registry.h"
 
 namespace aqed::ir {
 namespace {
@@ -100,6 +107,55 @@ TEST(TransitionSystemTest, InitValuesAreTruncated) {
   EXPECT_TRUE(ts.has_init(reg));
   const NodeRef free_state = ts.AddState("free", Sort::BitVec(4));
   EXPECT_FALSE(ts.has_init(free_state));
+}
+
+TEST(TransitionSystemTest, MarkConeFollowsNextStateAndStopsAtTheStopSet) {
+  TransitionSystem ts;
+  Context& ctx = ts.ctx();
+  const NodeRef in = ts.AddInput("in", Sort::BitVec(4));
+  const NodeRef a = ts.AddState("a", Sort::BitVec(4), 0);
+  const NodeRef b = ts.AddState("b", Sort::BitVec(4), 0);
+  const NodeRef a_next = ctx.Add(a, in);
+  ts.SetNext(a, a_next);
+  ts.SetNext(b, a);
+  const NodeRef out = ctx.Not(b);
+  // From `out` the walk enters b, b's next (a), and a's next function.
+  std::vector<bool> cone;
+  MarkCone(ts, std::span(&out, 1), cone);
+  for (NodeRef ref : {out, b, a, a_next, in}) EXPECT_TRUE(cone[ref]) << ref;
+  // With `a` in the stop set, a is marked but its next function is not.
+  std::vector<bool> stop(ctx.num_nodes(), false);
+  stop[a] = true;
+  std::vector<bool> stopped;
+  MarkCone(ts, std::span(&out, 1), stopped, stop);
+  EXPECT_TRUE(stopped[a]);
+  EXPECT_FALSE(stopped[a_next]);
+  EXPECT_FALSE(stopped[in]);
+  // A second call grows the same cone.
+  MarkCone(ts, std::span(&a_next, 1), stopped, stop);
+  EXPECT_TRUE(stopped[in]);
+}
+
+TEST(CopyNodeTest, IdentityCopyReproducesEveryCatalogDesign) {
+  for (const fault::DesignUnderTest& design : service::BuiltinDesigns()) {
+    TransitionSystem src;
+    design.build(src);
+    TransitionSystem copy;
+    std::vector<NodeRef> map(src.ctx().num_nodes(), kNullNode);
+    for (NodeRef ref = 1; ref < src.ctx().num_nodes(); ++ref) {
+      map[ref] = CopyNode(src, ref, map, copy);
+      ASSERT_EQ(map[ref], ref) << design.name;  // node for node
+    }
+    for (NodeRef state : src.states()) copy.SetNext(state, src.next(state));
+    for (NodeRef constraint : src.constraints()) copy.AddConstraint(constraint);
+    for (size_t i = 0; i < src.bads().size(); ++i) {
+      copy.AddBad(src.bads()[i], src.bad_labels()[i]);
+    }
+    for (const auto& [name, node] : src.outputs()) copy.AddOutput(name, node);
+    EXPECT_EQ(copy.ctx().num_nodes(), src.ctx().num_nodes()) << design.name;
+    EXPECT_EQ(ToBtor2(copy), ToBtor2(src)) << design.name;
+    EXPECT_EQ(StructuralDigest(copy), StructuralDigest(src)) << design.name;
+  }
 }
 
 TEST(PrinterTest, DumpsStatesAndProperties) {

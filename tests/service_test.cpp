@@ -802,16 +802,16 @@ TEST(ProtocolTest, ErrorsAndStatsRoundTrip) {
   EXPECT_FALSE(as_campaign.value().ok);
   EXPECT_EQ(as_campaign.value().error, "tenant 'ci' over quota");
 
-  StatsResponse stats;
-  stats.ok = true;
-  stats.live_requests = 2;
-  stats.accepted = 10;
-  stats.rejected = 3;
-  stats.cache_entries = 100;
-  stats.cache_hits = 70;
-  stats.cache_misses = 30;
-  StatusOr<StatsResponse> decoded =
-      DecodeStatsResponse(EncodeStatsResponse(stats));
+  StatusResponse status;
+  status.ok = true;
+  status.live_requests = 2;
+  status.accepted = 10;
+  status.rejected = 3;
+  status.cache_entries = 100;
+  status.cache_hits = 70;
+  status.cache_misses = 30;
+  StatusOr<StatusResponse> decoded =
+      DecodeStatusResponse(EncodeStatusResponse(status));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().live_requests, 2u);
   EXPECT_EQ(decoded.value().accepted, 10u);
@@ -874,10 +874,10 @@ TEST(ServerTest, CampaignDigestMatchesADirectRunAndReplaysFromCache) {
   EXPECT_GE(warm.value().cache_hits, 6u * 9 / 10);
   EXPECT_EQ(warm.value().cache_misses, 0u);
 
-  StatusOr<StatsResponse> stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_TRUE(stats.value().ok);
-  EXPECT_EQ(stats.value().cache_entries, 6u);
+  StatusOr<StatusResponse> status = client.ServerStatus();
+  ASSERT_TRUE(status.ok());
+  EXPECT_TRUE(status.value().ok);
+  EXPECT_EQ(status.value().cache_entries, 6u);
   server.Stop();
 }
 
@@ -948,7 +948,7 @@ TEST(ServerTest, PerTenantQuotaIsIndependentOfTheGlobalBound) {
 }
 
 TEST(ServerTest, FourConcurrentClientsAreRaceClean) {
-  // The TSan target: four clients hammer one server — pings, stats, and
+  // The TSan target: four clients hammer one server — pings, status, and
   // campaigns that share the solve cache — while the server multiplexes
   // them over its executor pool.
   ServerOptions options;
@@ -975,7 +975,7 @@ TEST(ServerTest, FourConcurrentClientsAreRaceClean) {
       if (!response.ok() || !response.value().ok) ++failures;
       if (!client.Health().ok()) ++failures;
       if (!client.Metrics().ok()) ++failures;
-      if (!client.Stats().ok()) ++failures;
+      if (!client.ServerStatus().ok()) ++failures;
     });
   }
   for (std::thread& thread : clients) thread.join();

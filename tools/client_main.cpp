@@ -2,7 +2,6 @@
 //
 // Single-shot:
 //   aqed-client --socket /tmp/aqed-server.sock --ping
-//   aqed-client --socket ... --stats
 //   aqed-client --socket ... --status [--json]    operator view (tenants,
 //                                                 cache, latency quantiles)
 //   aqed-client --socket ... --metrics [--json]   Prometheus exposition
@@ -98,7 +97,6 @@ int main(int argc, char** argv) {
   const std::string socket_path = flags.String(
       "--socket", "/tmp/aqed-server.sock", "aqed-server socket path");
   const bool ping = flags.Switch("--ping", "liveness round-trip");
-  const bool stats = flags.Switch("--stats", "one-line server counters");
   const bool status =
       flags.Switch("--status", "operator view of the live server state");
   const bool metrics =
@@ -189,28 +187,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("pong\n");
-    return 0;
-  }
-  if (stats) {
-    StatusOr<service::StatsResponse> response = client.Stats();
-    if (!response.ok()) {
-      std::fprintf(stderr, "aqed-client: %s\n",
-                   response.status().message().c_str());
-      return 1;
-    }
-    const service::StatsResponse& s = response.value();
-    if (!s.ok) {
-      std::fprintf(stderr, "aqed-client: %s\n", s.error.c_str());
-      return 1;
-    }
-    std::printf("live %llu, accepted %llu, rejected %llu, cache %llu "
-                "entries (%llu hits / %llu misses)\n",
-                static_cast<unsigned long long>(s.live_requests),
-                static_cast<unsigned long long>(s.accepted),
-                static_cast<unsigned long long>(s.rejected),
-                static_cast<unsigned long long>(s.cache_entries),
-                static_cast<unsigned long long>(s.cache_hits),
-                static_cast<unsigned long long>(s.cache_misses));
     return 0;
   }
   if (status) {
@@ -322,7 +298,7 @@ int main(int argc, char** argv) {
     return PrintResponse(response.value()) ? 0 : 1;
   }
   std::fprintf(stderr,
-               "aqed-client: pick a mode: --ping | --stats | --status | "
+               "aqed-client: pick a mode: --ping | --status | "
                "--metrics | --health | --campaign | --batch FILE\n");
   return 2;
 }
